@@ -64,7 +64,7 @@ from .oracle import (
     simulate_paths,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "TwoCurveError", "NonPositiveCoefficient", "InvalidTimeOrder",

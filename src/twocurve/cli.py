@@ -91,7 +91,9 @@ class Scenario:
     warnings: tuple = field(default=())
 
 
-def _require_keys(obj: dict, allowed: set, required: set, where: str):
+def _require_keys(obj: Any, allowed: set, required: set, where: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object, got {obj!r}")
     for key in obj:
         if key not in allowed:
             raise ScenarioError(f"{where}: unknown key {key!r}")
@@ -100,11 +102,14 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
             raise ScenarioError(f"{where}: missing key {key!r}")
 
 
-def _num(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
+def _number(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
+        raise ScenarioError(f"{where}: expected a number, got {v!r}")
     return float(v)
+
+
+def _num(obj: dict, key: str, where: str) -> float:
+    return _number(obj[key], f"{where}.{key}")
 
 
 def _int(obj: dict, key: str, where: str) -> int:
@@ -114,11 +119,18 @@ def _int(obj: dict, key: str, where: str) -> int:
     return v
 
 
+def _bool(obj: dict, key: str, where: str) -> bool:
+    v = obj[key]
+    if not isinstance(v, bool):
+        raise ScenarioError(f"{where}.{key}: expected true or false, got {v!r}")
+    return v
+
+
 def _vec3(obj: dict, key: str, where: str) -> tuple:
     v = obj[key]
     if not isinstance(v, list) or len(v) != 3:
         raise ScenarioError(f"{where}.{key}: expected a list of 3 numbers")
-    return tuple(float(x) for x in v)
+    return tuple(_number(x, f"{where}.{key}[{j}]") for j, x in enumerate(v))
 
 
 def _parse_product(obj: Any, idx: int):
@@ -177,32 +189,32 @@ def parse_scenario(doc: Any) -> Scenario:
     p = doc["params"]
     _require_keys(p, {"b1", "b2", "b3", "sigma1", "sigma2", "sigma3", "kappa", "psi0"},
                   {"b1", "b2", "b3", "sigma1", "sigma2", "sigma3"}, "params")
-    params = ModelParams(
-        b1=_num(p, "b1", "params"), b2=_num(p, "b2", "params"),
-        b3=_num(p, "b3", "params"),
-        sigma1=_num(p, "sigma1", "params"), sigma2=_num(p, "sigma2", "params"),
-        sigma3=_num(p, "sigma3", "params"),
-        kappa=_num(p, "kappa", "params") if "kappa" in p else 0.0,
-        psi0=_vec3(p, "psi0", "params") if "psi0" in p else (0.0, 0.0, 0.0),
-    )
+    fields = {name: _num(p, name, "params")
+              for name in ("b1", "b2", "b3", "sigma1", "sigma2", "sigma3")}
+    fields["kappa"] = _num(p, "kappa", "params") if "kappa" in p else 0.0
+    fields["psi0"] = _vec3(p, "psi0", "params") if "psi0" in p else (0.0, 0.0, 0.0)
     try:
+        params = ModelParams(**fields)
         report = validate(params)
-    except TwoCurveError as exc:
+    except (TwoCurveError, ValueError) as exc:
         raise ScenarioError(f"params: {exc}") from exc
 
     if "state" in doc:
         s = doc["state"]
         _require_keys(s, {"t", "psi"}, set(), "state")
-        state = FactorState(
-            t=_num(s, "t", "state") if "t" in s else 0.0,
-            psi=_vec3(s, "psi", "state") if "psi" in s else params.psi0,
-        )
+        t = _num(s, "t", "state") if "t" in s else 0.0
+        psi = _vec3(s, "psi", "state") if "psi" in s else params.psi0
+        try:
+            state = FactorState(t, psi)
+        except ValueError as exc:
+            raise ScenarioError(f"state: {exc}") from exc
     else:
         state = FactorState(0.0, params.psi0)
 
-    products = tuple(
-        _parse_product(o, i) for i, o in enumerate(doc.get("products", []))
-    )
+    raw_products = doc.get("products", [])
+    if not isinstance(raw_products, list):
+        raise ScenarioError(f"products: expected a list, got {raw_products!r}")
+    products = tuple(_parse_product(o, i) for i, o in enumerate(raw_products))
 
     mc = None
     if "mc" in doc:
@@ -214,7 +226,7 @@ def parse_scenario(doc: Any) -> Scenario:
                 n_paths=_int(m, "n_paths", "mc") if "n_paths" in m else 100_000,
                 steps_per_year=_int(m, "steps_per_year", "mc") if "steps_per_year" in m else 512,
                 seed=_int(m, "seed", "mc") if "seed" in m else 0,
-                antithetic=bool(m.get("antithetic", True)),
+                antithetic=_bool(m, "antithetic", "mc") if "antithetic" in m else True,
             )
         except ValueError as exc:
             raise ScenarioError(f"mc: {exc}") from exc
@@ -249,7 +261,8 @@ def parse_scenario(doc: Any) -> Scenario:
             grid = cd["grid"]
             if not isinstance(grid, list) or not grid:
                 raise ScenarioError(f"outputs[{i}].curve_dump.grid: expected a non-empty list")
-            curve_dump = CurveDump(tuple(float(x) for x in grid),
+            curve_dump = CurveDump(tuple(_number(x, f"outputs[{i}].curve_dump.grid[{j}]")
+                                         for j, x in enumerate(grid)),
                                    _num(cd, "delta", f"outputs[{i}].curve_dump"))
         else:
             raise ScenarioError(f"outputs[{i}]: unknown output request {out!r}")

@@ -8,8 +8,8 @@ boundary values at t = T and depend on (t, T) only through tau = T - t:
     dB/dt = b B - 1,                     B(T, T) = 0     (B1; B1bar = (1+kappa) B1)
     dA/dt = -(sigma2^2 C22 - 1/2 sigma1^2 B1^2),  A(T, T) = 0
 
-A and Abar are evaluated by adaptive quadrature of their closed-form
-integrands; everything else is closed form.
+Every coefficient is closed form; A and Abar integrate the Riccati
+solutions (riccati_integral) and B1^2 (b1_sq_integral).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from scipy.integrate import quad
-
-from .errors import InvalidTimeOrder, QuadratureFailure
+from .errors import InvalidTimeOrder
 from .model import ModelParams
 
 __all__ = [
@@ -37,11 +35,9 @@ __all__ = [
     "c33_bar_dT",
     "b1_dT",
     "b1_sq_integral",
+    "riccati_integral",
     "riccati_residual",
 ]
-
-_QUAD_RTOL = 1e-10
-
 
 def _check_order(t: float, T: float) -> float:
     if t > T:
@@ -60,6 +56,21 @@ def _riccati_closed(tau: float, b: float, sigma: float) -> float:
     return 2.0 * em1 / (2.0 * h + (2.0 * b + h) * em1)
 
 
+def riccati_integral(tau: float, b: float, sigma: float) -> float:
+    """Integral of the Riccati solution C(s) over s in [0, tau].
+
+    Linearising C = w' / (2 sigma^2 w) with w(0) = 1, w'(0) = 0 gives
+    w(tau) = e^{r1 tau} (1 + (r1/h) expm1(-h tau)), r1 = -b + h/2, so the
+    integral is log(w) / (2 sigma^2).  r1 is formed as 2 sigma^2 q with
+    q = 1 / (b + h/2), which keeps the sigma -> 0 limit exact.
+    """
+    h = _h(b, sigma)
+    q = 2.0 / (2.0 * b + h)
+    em = math.expm1(-h * tau)
+    x = 2.0 * sigma * sigma * q * em / h  # (r1/h) expm1(-h tau), in (-1/2, 0]
+    return q * tau + q * em / h * (math.log1p(x) / x if x else 1.0)
+
+
 def c22(t: float, T: float, params: ModelParams) -> float:
     """Quadratic coefficient on psi2^2 in the OIS (and Libor) bond exponent."""
     tau = _check_order(t, T)
@@ -75,8 +86,6 @@ def c33_bar(t: float, T: float, params: ModelParams) -> float:
 def b1(t: float, T: float, params: ModelParams) -> float:
     """Linear coefficient on psi1 in the OIS bond exponent."""
     tau = _check_order(t, T)
-    if params.b1 == 0.0:
-        return tau
     return -math.expm1(-params.b1 * tau) / params.b1
 
 
@@ -102,10 +111,7 @@ def b1_dT(t: float, T: float, params: ModelParams) -> float:
 
 
 def b1_sq_integral(t: float, T: float, params: ModelParams) -> float:
-    """Closed form of the integral of B1(u, T)^2 over u in [t, T].
-
-    Used to cross-check the quadrature route for A and Abar.
-    """
+    """Closed form of the integral of B1(u, T)^2 over u in [t, T]."""
     tau = _check_order(t, T)
     b = params.b1
     btau = b1(t, T, params)
@@ -131,22 +137,14 @@ def _a_integrands(params: ModelParams) -> tuple[Callable[[float], float], Callab
     return f_a, f_abar
 
 
-def _quad(f: Callable[[float], float], tau: float) -> float:
-    val, err = quad(f, 0.0, tau, epsabs=1e-14, epsrel=_QUAD_RTOL, limit=200)
-    if err > _QUAD_RTOL * max(1.0, abs(val)) * 10.0:
-        raise QuadratureFailure(
-            f"coefficient integral did not converge: value={val}, err_estimate={err}"
-        )
-    return val
-
-
 def a_pair(t: float, T: float, params: ModelParams) -> tuple[float, float]:
-    """(A, Abar) at (t, T) by adaptive quadrature of the closed-form integrands."""
+    """(A, Abar) at (t, T): the integrals over [t, T] of the integrands in
+    _a_integrands, term by term in closed form."""
     tau = _check_order(t, T)
-    if tau == 0.0:
-        return 0.0, 0.0
-    f_a, f_abar = _a_integrands(params)
-    return _quad(f_a, tau), _quad(f_abar, tau)
+    a2 = params.sigma2 ** 2 * riccati_integral(tau, params.b2, params.sigma2)
+    a3 = params.sigma3 ** 2 * riccati_integral(tau, params.b3, params.sigma3)
+    a1 = 0.5 * params.sigma1 ** 2 * b1_sq_integral(t, T, params)
+    return a2 - a1, a2 + a3 - (1.0 + params.kappa) ** 2 * a1
 
 
 def a_tilde(t: float, T: float, params: ModelParams) -> float:

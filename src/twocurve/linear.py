@@ -11,10 +11,10 @@ p/pbar at inception, and Res a deterministic residual.
 
 The swap pricer evaluates, for each period k, the forward-measure
 expectation of 1/pbar(T_{k-1}, T_k) through exponential-quadratic
-expectation coefficients (rho_i, Gamma_i).  The expectation horizon is
-the fixing date T_{k-1} (the factor values that set the Libor rate);
-measure-change drifts are those of the payment-date forward measure
-Q^{T_k}.
+expectation coefficients (rho_i, Gamma_i), all in closed form.  The
+expectation horizon is the fixing date T_{k-1} (the factor values that set
+the Libor rate); measure-change drifts are those of the payment-date
+forward measure Q^{T_k}.
 """
 
 from __future__ import annotations
@@ -22,15 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from . import coeffs
 from .curves import ois_bond
-from .errors import (
-    ExpectationSingularity,
-    InvalidTimeOrder,
-    QuadratureFailure,
-)
+from .errors import ExpectationSingularity, InvalidTimeOrder
 from .measures import gaussian_exp_quadratic, q_conditional_law
 from .model import FactorState, ModelParams
 
@@ -164,116 +158,54 @@ def fair_fra_rate(state: FactorState, T: float, delta: float, params: ModelParam
     return (v_multi(state, T, delta, params) - 1.0) / delta
 
 
-def _quad10(f, lo: float, hi: float) -> float:
-    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if err > 1e-10 * max(1.0, abs(val)) * 10.0:
-        raise QuadratureFailure(f"expectation-coefficient integral: err={err}")
-    return val
-
-
-def _rho2_backward(
-    t: float, t_fix: float, t_pay: float, c22_k: float, params: ModelParams, n_steps: int
-) -> tuple[float, float]:
-    """Backward RK4 of the rho2 Riccati (time-dependent coefficient through
-    C22(u, T_k)) from rho2(t_fix) = -c22_k, jointly accumulating
-    Gamma2(t) = -sigma2^2 * integral of rho2 over [t, t_fix]."""
-    s2sq = params.sigma2 ** 2
-    b2 = params.b2
-
-    def f(u: float, rho: float) -> float:
-        lam = b2 + 2.0 * s2sq * coeffs.c22(u, t_pay, params)
-        return 2.0 * lam * rho + 2.0 * s2sq * rho * rho
-
-    h = (t_fix - t) / n_steps
-    rho, gam = -c22_k, 0.0
-    u = t_fix
-    for _ in range(n_steps):
-        # step backward: gamma' = sigma2^2 * rho, integrated alongside
-        k1r = f(u, rho)
-        k1g = s2sq * rho
-        r2 = rho - 0.5 * h * k1r
-        k2r = f(u - 0.5 * h, r2)
-        k2g = s2sq * r2
-        r3 = rho - 0.5 * h * k2r
-        k3r = f(u - 0.5 * h, r3)
-        k3g = s2sq * r3
-        r4 = rho - h * k3r
-        k4r = f(u - h, r4)
-        k4g = s2sq * r4
-        rho = rho - (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        gam = gam - (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        u -= h
-        if not math.isfinite(rho) or abs(rho) > 1e8:
-            raise ExpectationSingularity(
-                f"rho2 Riccati blow-up at u={u}: psi2 expectation is infinite"
-            )
-    return rho, gam
-
-
 def expectation_coeffs(
     t: float, k: int, swap: SwapSpec, params: ModelParams
 ) -> ExpectationCoeffs:
     """(rho_i, Gamma_i) for period k of the swap, evaluated at time t.
 
     Boundary values at t = T_{k-1}: rho1 = -(1+kappa)*B1_k,
-    rho2 = -C22_k, rho3 = -C33bar_k, Gamma_i = 0.
+    rho2 = -C22_k, rho3 = -C33bar_k, Gamma_i = 0.  Away from the boundary
+    every coefficient is closed form (tau = T_{k-1} - t):
+
+    - rho1 decays as e^{-b1 tau}; Gamma1 integrates exponentials;
+    - rho2(t) = C22(t, T_{k-1}) - C22(t, T_k) solves the rho2 Riccati, and
+      Gamma2 is -sigma2^2 times its time-integral, read off riccati_integral;
+    - rho3 and Gamma3 are the Gaussian expectation of exp(-C33bar_k psi3^2)
+      over the OU transition of length tau.
     """
     t_fix = swap.fix_date(k)
     t_pay = swap.pay_date(k)
     if t > t_fix:
         raise InvalidTimeOrder(t, t_fix)
-    b1_k = coeffs.b1(t_fix, t_pay, params)
-    c22_k = coeffs.c22(t_fix, t_pay, params)
+    tau = t_fix - t
     c33_k = coeffs.c33_bar(t_fix, t_pay, params)
+
     b1_, s1sq = params.b1, params.sigma1 ** 2
-    s3sq = params.sigma3 ** 2
-    kp1 = 1.0 + params.kappa
-
-    def rho1_fn(u: float) -> float:
-        return -kp1 * b1_k * math.exp(-b1_ * (t_fix - u))
-
-    rho1 = rho1_fn(t)
-    span = t_fix - t
-    if span == 0.0:
-        return ExpectationCoeffs(rho1, -c22_k, -c33_k, 0.0, 0.0, 0.0, k)
-
-    gamma1 = 0.5 * s1sq * _quad10(lambda u: rho1_fn(u) ** 2, t, t_fix) + s1sq * _quad10(
-        lambda u: coeffs.b1(u, t_pay, params) * rho1_fn(u), t, t_fix
+    kb = (1.0 + params.kappa) * coeffs.b1(t_fix, t_pay, params)
+    rho1 = -kb * math.exp(-b1_ * tau)
+    e1 = -math.expm1(-b1_ * tau)
+    e2 = -math.expm1(-2.0 * b1_ * tau)
+    gamma1 = s1sq * kb / b1_ * (
+        0.25 * kb * e2 - (e1 - 0.5 * math.exp(-b1_ * (t_pay - t_fix)) * e2) / b1_
     )
 
-    n_steps = max(8, int(math.ceil(span / min(1e-3, span / 200.0))))
-    rho2, gamma2 = _rho2_backward(t, t_fix, t_pay, c22_k, params, n_steps)
-    rho2_h, _ = _rho2_backward(t, t_fix, t_pay, c22_k, params, 2 * n_steps)
-    if abs(rho2 - rho2_h) > 1e-9:
-        raise QuadratureFailure(
-            f"rho2 step-halving check failed: |diff|={abs(rho2 - rho2_h)}"
+    rho2 = coeffs.c22(t, t_fix, params) - coeffs.c22(t, t_pay, params)
+    b2_, s2_ = params.b2, params.sigma2
+    gamma2 = -s2_ * s2_ * (
+        coeffs.riccati_integral(tau, b2_, s2_)
+        - coeffs.riccati_integral(t_pay - t, b2_, s2_)
+        + coeffs.riccati_integral(t_pay - t_fix, b2_, s2_)
+    )
+
+    b3_ = params.b3
+    beta3 = params.sigma3 ** 2 * -math.expm1(-2.0 * b3_ * tau) / (2.0 * b3_)
+    denom = 1.0 - 2.0 * c33_k * beta3
+    if denom <= 0.0:
+        raise ExpectationSingularity(
+            f"rho3 pole inside [{t}, {t_fix}]: psi3 expectation is infinite"
         )
-    rho2 = rho2_h
-
-    denom_h = 4.0 * s3sq * c33_k - 4.0 * params.b3
-    if denom_h == 0.0:
-        raise ExpectationSingularity("h3 denominator vanishes exactly")
-    h3 = c33_k / denom_h
-
-    def rho3_denom(u: float) -> float:
-        return 4.0 * s3sq * h3 * math.exp(-2.0 * params.b3 * (t_fix - u)) - 1.0
-
-    # refuse to integrate across a pole of the closed-form rho3
-    grid_sign = rho3_denom(t)
-    for j in range(1, 257):
-        u = t + span * j / 256.0
-        d = rho3_denom(u)
-        if d == 0.0 or (d > 0.0) != (grid_sign > 0.0):
-            raise ExpectationSingularity(
-                f"rho3 pole inside [{t}, {t_fix}]: psi3 expectation is infinite"
-            )
-
-    def rho3_fn(u: float) -> float:
-        e = math.exp(-2.0 * params.b3 * (t_fix - u))
-        return -4.0 * params.b3 * h3 * e / (4.0 * s3sq * h3 * e - 1.0)
-
-    rho3 = rho3_fn(t)
-    gamma3 = -s3sq * _quad10(rho3_fn, t, t_fix)
+    rho3 = -c33_k * math.exp(-2.0 * b3_ * tau) / denom
+    gamma3 = -0.5 * math.log1p(-2.0 * c33_k * beta3)
     return ExpectationCoeffs(rho1, rho2, rho3, gamma1, gamma2, gamma3, k)
 
 

@@ -7,10 +7,12 @@ stay Gaussian but factors 1 and 2 pick up measure-change drifts:
     dpsi2 = -[b2 + 2*sigma2^2*C22(u, T*)] psi2 du + sigma2 dw2*
     dpsi3 = -b3*psi3 du + sigma3 dw3*
 
-forward_moments integrates the induced linear mean/variance ODEs with RK4
-rather than transcribing the printed closed forms, whose factor-1 entries
-are dimensionally inconsistent (the printed variants are kept in
-forward_moments_printed for comparison only). Factor 3 is an unchanged OU
+forward_moments solves the induced linear mean/variance ODEs in closed
+form: factor 1 is an OU process with exponential forcing, and factor 2's
+time-dependent mean reversion integrates through the linearisation
+C22 = w'/(2 sigma2^2 w) of its Riccati equation.  The printed closed forms,
+whose factor-1 entries are dimensionally inconsistent, are kept in
+forward_moments_printed for comparison only.  Factor 3 is an unchanged OU
 process with textbook moments.
 """
 
@@ -68,40 +70,27 @@ def forward_moments(t: float, T_star: float, params: ModelParams) -> ForwardMome
         raise InvalidTimeOrder(0.0, t)
     p1, p2, p3 = params.psi0
     a3, b3v = _ou_moments(p3, params.b3, params.sigma3, t)
-    if t == 0.0:
-        return ForwardMoments(t, T_star, (p1, p2, p3), (0.0, 0.0, 0.0))
 
-    s1sq = params.sigma1 ** 2
-    s2sq = params.sigma2 ** 2
+    # factor 1: OU with the deterministic drift -sigma1^2 B1(u, T*)
+    b1_, s1sq = params.b1, params.sigma1 ** 2
+    e1 = -math.expm1(-b1_ * t)
+    e2 = -math.expm1(-2.0 * b1_ * t)
+    a1 = math.exp(-b1_ * t) * p1 - s1sq / b1_ * (
+        e1 / b1_ - math.exp(-b1_ * (T_star - t)) * e2 / (2.0 * b1_)
+    )
+    be1 = s1sq * e2 / (2.0 * b1_)
 
-    def rhs(u: float, y: tuple[float, float, float, float]):
-        a1, be1, a2, be2 = y
-        u = min(u, T_star)  # guard the last RK4 stage against float overshoot
-        bb = coeffs.b1(u, T_star, params)
-        lam = params.b2 + 2.0 * s2sq * coeffs.c22(u, T_star, params)
-        return (
-            -params.b1 * a1 - s1sq * bb,
-            -2.0 * params.b1 * be1 + s1sq,
-            -lam * a2,
-            -2.0 * lam * be2 + s2sq,
-        )
-
-    h = min(1e-3, t / 100.0)
-    n = max(1, int(math.ceil(t / h)))
-    h = t / n
-    y = (p1, 0.0, p2, 0.0)
-    u = 0.0
-    for _ in range(n):
-        k1 = rhs(u, y)
-        k2 = rhs(u + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
-        k3 = rhs(u + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
-        k4 = rhs(u + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
-        y = tuple(
-            yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-        u += h
-    a1, be1, a2, be2 = y
+    # factor 2: mean reversion b2 + 2 sigma2^2 C22(u, T*).  With
+    # C = w'/(2 sigma2^2 w), w(tau) = e^{r1 tau} g(tau) and
+    # g(tau) = 1 + (r1/h) expm1(-h tau), both moments reduce to g(T* - t)/g(T*).
+    b2_, s2_ = params.b2, params.sigma2
+    h = coeffs._h(b2_, s2_)
+    r1_h = 2.0 * s2_ * s2_ / ((b2_ + 0.5 * h) * h)
+    ratio = (1.0 + r1_h * math.expm1(-h * (T_star - t))) / (
+        1.0 + r1_h * math.expm1(-h * T_star)
+    )
+    a2 = p2 * math.exp(-0.5 * h * t) * ratio
+    be2 = s2_ * s2_ * -math.expm1(-h * t) / h * ratio
     return ForwardMoments(t, T_star, (a1, a2, a3), (be1, be2, b3v))
 
 

@@ -31,7 +31,10 @@ class ModelParams:
     """Model coefficients: mean reversions b_i, volatilities sigma_i, correlation
     intensity kappa and initial factor values psi0.
 
-    b_i and sigma_i must be strictly positive; kappa may be any real.
+    b_i must be finite and strictly positive, sigma_i finite and >= 0
+    (NonPositiveCoefficient otherwise); kappa and psi0 must be finite
+    (ValueError otherwise).  A zero volatility builds a deterministic model
+    for simulation; validate() rejects it for pricing.
     """
 
     b1: float
@@ -45,6 +48,14 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "psi0", tuple(float(x) for x in self.psi0))
+        for name in ("b1", "b2", "b3"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise NonPositiveCoefficient(name)
+        for name in ("sigma1", "sigma2", "sigma3"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise NonPositiveCoefficient(name)
+        if not all(math.isfinite(x) for x in (self.kappa, *self.psi0)):
+            raise ValueError(f"kappa and psi0 must be finite, got {self.kappa}, {self.psi0}")
 
     def b(self, i: int) -> float:
         return (self.b1, self.b2, self.b3)[i - 1]

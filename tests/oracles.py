@@ -155,3 +155,30 @@ def rho_riccati_rk4(lam, sigma_sq: float, terminal: float, t_hi: float,
         gam -= (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         t -= h
     return rho, gam
+
+
+def forward_moments_rk4(t: float, T_star: float, params, n_steps: int):
+    """Forward RK4 of the T*-forward-measure moment ODEs of factors 1 and 2
+    from (psi0, 0) at time 0, returning (alpha1, beta1, alpha2, beta2) at t."""
+    s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
+
+    def rhs(u, y):
+        x1, v1, x2, v2 = y
+        u = min(u, T_star)
+        bb = coeffs.b1(u, T_star, params)
+        lam = params.b2 + 2.0 * s2sq * coeffs.c22(u, T_star, params)
+        return (-params.b1 * x1 - s1sq * bb, -2.0 * params.b1 * v1 + s1sq,
+                -lam * x2, -2.0 * lam * v2 + s2sq)
+
+    h = t / n_steps
+    y = (params.psi0[0], 0.0, params.psi0[1], 0.0)
+    u = 0.0
+    for _ in range(n_steps):
+        k1 = rhs(u, y)
+        k2 = rhs(u + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
+        k3 = rhs(u + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
+        k4 = rhs(u + h, tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + h / 6 * (b + 2 * c + 2 * d + e)
+                  for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+        u += h
+    return y

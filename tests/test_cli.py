@@ -151,3 +151,30 @@ def test_empty_scenario_rejected(tmp_path):
     doc = {"schema_version": 1, "params": dict(PARAMS)}
     with pytest.raises(ScenarioError):
         parse_scenario(doc)
+
+
+def test_antithetic_must_be_a_json_boolean(tmp_path, capsys):
+    doc = _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}],
+                    mc={"n_paths": 4096, "steps_per_year": 32, "antithetic": "false"})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "mc.antithetic" in capsys.readouterr().err
+    doc["mc"]["antithetic"] = False
+    assert parse_scenario(doc).mc.antithetic is False
+
+
+def test_products_must_be_a_list(tmp_path, capsys):
+    assert run(_write(tmp_path, _scenario(5)), str(tmp_path)) == 2
+    assert "products" in capsys.readouterr().err
+
+
+def test_curve_dump_grid_entries_must_be_numbers(tmp_path, capsys):
+    doc = _scenario([], outputs=[{"curve_dump": {"grid": ["a"], "delta": 0.25}}])
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "outputs[0].curve_dump.grid[0]" in capsys.readouterr().err
+
+
+def test_non_finite_params_rejected(tmp_path, capsys):
+    doc = _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}])
+    doc["params"]["sigma1"] = float("nan")
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "sigma1" in capsys.readouterr().err

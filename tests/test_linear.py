@@ -181,3 +181,31 @@ def test_rho3_pole_raises():
     swap = SwapSpec(5.0, 1, 1.0, 0.01)
     with pytest.raises(ExpectationSingularity):
         expectation_coeffs(0.0, 1, swap, p)
+
+
+def test_rho3_just_inside_pole_prices_finite():
+    # bisect sigma3 onto the pole of the period's psi3 expectation, then
+    # price just inside it: both swap routes stay finite and agree
+    base = dict(b1=0.5, b2=0.3, b3=0.05, sigma1=0.01, sigma2=0.02, kappa=0.3,
+                psi0=(0.01, 0.05, 0.05))
+    swap = SwapSpec(5.0, 1, 1.0, 0.01)
+
+    def singular(sigma3):
+        try:
+            expectation_coeffs(0.0, 1, swap, ModelParams(sigma3=sigma3, **base))
+        except ExpectationSingularity:
+            return True
+        return False
+
+    lo, hi = 0.01, 1.5
+    assert not singular(lo) and singular(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if singular(mid) else (mid, hi)
+    p = ModelParams(sigma3=lo * (1.0 - 1e-4), **base)
+    s = FactorState(0.0, p.psi0)
+    ec = expectation_coeffs(0.0, 1, swap, p)
+    assert math.isfinite(ec.rho3) and ec.rho3 < -1e3 * coeffs.c33_bar(5.0, 6.0, p)
+    v1 = swap_price(s, swap, p)
+    assert math.isfinite(v1)
+    assert v1 == pytest.approx(swap_price_via_fras(s, swap, p), rel=1e-8)

@@ -15,6 +15,7 @@ from twocurve import (
 )
 from twocurve.measures import forward_moments_printed
 from conftest import random_params
+from oracles import forward_moments_rk4
 
 
 def test_forward_moments_at_zero(params):
@@ -40,31 +41,7 @@ def test_moment_odes_step_halving():
         t, T = 1.0, 1.5
         fm = forward_moments(t, T, p)
         # re-integrate on a manual fine grid and compare
-        s1sq, s2sq = p.sigma1 ** 2, p.sigma2 ** 2
-        from twocurve import coeffs
-
-        n = 4000
-        h = t / n
-        a1, be1, a2, be2 = p.psi0[0], 0.0, p.psi0[1], 0.0
-        u = 0.0
-        for _ in range(n):
-            def rhs(uu, y):
-                x1, v1, x2, v2 = y
-                bb = coeffs.b1(min(uu, T), T, p)
-                lam = p.b2 + 2.0 * s2sq * coeffs.c22(min(uu, T), T, p)
-                return (-p.b1 * x1 - s1sq * bb, -2.0 * p.b1 * v1 + s1sq,
-                        -lam * x2, -2.0 * lam * v2 + s2sq)
-
-            y = (a1, be1, a2, be2)
-            k1 = rhs(u, y)
-            k2 = rhs(u + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
-            k3 = rhs(u + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
-            k4 = rhs(u + h, tuple(a + h * b for a, b in zip(y, k3)))
-            a1, be1, a2, be2 = tuple(
-                a + h / 6 * (b + 2 * c + 2 * d + e)
-                for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-            )
-            u += h
+        a1, be1, a2, be2 = forward_moments_rk4(t, T, p, 4000)
         assert fm.alpha[0] == pytest.approx(a1, rel=1e-10, abs=1e-13)
         assert fm.beta[0] == pytest.approx(be1, rel=1e-10, abs=1e-13)
         assert fm.alpha[1] == pytest.approx(a2, rel=1e-10, abs=1e-13)

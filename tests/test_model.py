@@ -65,3 +65,22 @@ def test_state_rejects_bad_time():
         FactorState(-1.0, (0, 0, 0))
     with pytest.raises(ValueError):
         FactorState(float("nan"), (0, 0, 0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b1", 0.0), ("b2", -0.1), ("b3", float("inf")),
+    ("sigma1", float("nan")), ("sigma2", -0.01), ("sigma3", float("inf")),
+])
+def test_params_reject_bad_coefficient_at_construction(field, value, params):
+    kw = {f: getattr(params, f) for f in ("b1", "b2", "b3", "sigma1", "sigma2", "sigma3")}
+    kw[field] = value
+    with pytest.raises(NonPositiveCoefficient) as err:
+        ModelParams(**kw)
+    assert field in str(err.value)
+
+
+def test_params_reject_non_finite_kappa_and_psi0():
+    with pytest.raises(ValueError):
+        ModelParams(0.5, 0.5, 0.5, 0.01, 0.01, 0.01, kappa=float("nan"))
+    with pytest.raises(ValueError):
+        ModelParams(0.5, 0.5, 0.5, 0.01, 0.01, 0.01, psi0=(0.0, float("inf"), 0.0))
