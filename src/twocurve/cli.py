@@ -21,6 +21,8 @@ Scenario layout::
 Product types: bond{T, curve}, fra{T, delta, R, notional},
 swap{T0, n, gamma, R, notional}, caplet/floorlet{T, delta, R, notional},
 swaption{T0, n, gamma, R, notional}, cap{T0, n, delta, R, notional}.
+Caplets, floorlets, caps and swaptions are priced from t = 0 and psi0, so a
+scenario holding one must leave "state" at that default.
 
 Unknown keys anywhere are an error.  Exit codes: 0 success, 2
 parse/validation error, 3 pricing error, 4 Monte Carlo bias failure.
@@ -215,6 +217,14 @@ def parse_scenario(doc: Any) -> Scenario:
     if not isinstance(raw_products, list):
         raise ScenarioError(f"products: expected a list, got {raw_products!r}")
     products = tuple(_parse_product(o, i) for i, o in enumerate(raw_products))
+    # the option pricers value from t = 0 and params.psi0 only
+    if state != FactorState(0.0, params.psi0):
+        for i, prod in enumerate(products):
+            if isinstance(prod, (CapletSpec, SwaptionSpec, CapProduct, tuple)):
+                name = "state.t" if state.t != 0.0 else "state.psi"
+                raise ScenarioError(
+                    f"{name}: products[{i}] is a {_product_label(prod)}, which is priced "
+                    "from t = 0 and params.psi0; drop the state or set it to that")
 
     mc = None
     if "mc" in doc:

@@ -40,9 +40,11 @@ __all__ = [
 ]
 
 def _check_order(t: float, T: float) -> float:
-    if t > T:
+    tau = T - t
+    # also false for a NaN or infinite t or T
+    if not 0.0 <= tau < math.inf:
         raise InvalidTimeOrder(t, T)
-    return T - t
+    return tau
 
 
 def _h(b: float, sigma: float) -> float:

@@ -14,15 +14,22 @@ class NonPositiveCoefficient(TwoCurveError):
 
 
 class InvalidTimeOrder(TwoCurveError):
-    """Evaluation requested with t > T."""
+    """Evaluation requested with t > T, or with a non-finite t or T."""
 
     def __init__(self, t: float, T: float):
         self.t, self.T = t, T
-        super().__init__(f"require t <= T, got t={t}, T={T}")
+        super().__init__(f"require finite t <= T, got t={t}, T={T}")
 
 
 class QuadratureFailure(TwoCurveError):
-    """Numerical integration did not reach the requested tolerance."""
+    """Numerical integration did not reach the requested tolerance.
+
+    history lists the (nodes per axis, estimate) pairs of the node doubling.
+    """
+
+    def __init__(self, message: str, history=()):
+        self.history = list(history)
+        super().__init__(message)
 
 
 class MomentExplosion(TwoCurveError):

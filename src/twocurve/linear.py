@@ -220,13 +220,19 @@ def _period_terms(
     cb = coeffs.bundle(t, t_pay, params)
     a_bar_k = coeffs.a_pair(swap.fix_date(k), t_pay, params)[1]
     ec = expectation_coeffs(t, k, swap, params)
-    d = math.exp(a_bar_k + ec.gamma1 + ec.gamma2 + ec.gamma3)
-    float_term = d * math.exp(
-        -cb.A
-        - (cb.B1 + ec.rho1) * p1
-        - (cb.C22 + ec.rho2) * p2 * p2
-        - ec.rho3 * p3 * p3
-    )
+    try:
+        float_term = math.exp(
+            a_bar_k + ec.gamma1 + ec.gamma2 + ec.gamma3
+            - cb.A
+            - (cb.B1 + ec.rho1) * p1
+            - (cb.C22 + ec.rho2) * p2 * p2
+            - ec.rho3 * p3 * p3
+        )
+    except OverflowError:
+        raise ExpectationSingularity(
+            f"period {k}: the psi3 expectation overflows next to the rho3 pole "
+            f"(rho3 = {ec.rho3})"
+        ) from None
     p_k = math.exp(-cb.A - cb.B1 * p1 - cb.C22 * p2 * p2)
     return float_term, p_k
 

@@ -10,10 +10,8 @@ stay Gaussian but factors 1 and 2 pick up measure-change drifts:
 forward_moments solves the induced linear mean/variance ODEs in closed
 form: factor 1 is an OU process with exponential forcing, and factor 2's
 time-dependent mean reversion integrates through the linearisation
-C22 = w'/(2 sigma2^2 w) of its Riccati equation.  The printed closed forms,
-whose factor-1 entries are dimensionally inconsistent, are kept in
-forward_moments_printed for comparison only.  Factor 3 is an unchanged OU
-process with textbook moments.
+C22 = w'/(2 sigma2^2 w) of its Riccati equation.  Factor 3 is an unchanged
+OU process with textbook moments.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "ForwardMoments",
     "GaussianLaw",
     "forward_moments",
-    "forward_moments_printed",
     "q_conditional_law",
     "gaussian_exp_quadratic",
 ]
@@ -94,46 +91,6 @@ def forward_moments(t: float, T_star: float, params: ModelParams) -> ForwardMome
     return ForwardMoments(t, T_star, (a1, a2, a3), (be1, be2, b3v))
 
 
-def forward_moments_printed(t: float, T_star: float, params: ModelParams) -> ForwardMoments:
-    """The closed-form factor-1/2 moments exactly as printed, for comparison
-    tests only.  The factor-1 entries are known to be inconsistent with the
-    dynamics (wrong sign in the mean correction, extra 1/b1 in the variance);
-    production code uses forward_moments."""
-    if t > T_star:
-        raise InvalidTimeOrder(t, T_star)
-    b1_, b2_ = params.b1, params.b2
-    s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
-    p1, p2, p3 = params.psi0
-
-    a1 = math.exp(-b1_ * t) * (
-        p1
-        - s1sq / (2.0 * b1_ ** 2) * math.exp(-b1_ * T_star) * (1.0 - math.exp(2.0 * b1_ * t))
-        - s1sq / (b1_ ** 2) * (1.0 - math.exp(b1_ * t))
-    )
-    be1 = math.exp(-2.0 * b1_ * t) * (math.exp(2.0 * b1_ * t) - 1.0) * s1sq / (2.0 * b1_ ** 2)
-
-    # the printed "C22 integral" symbol is read as the running time-integral
-    # of C22(s, T*) over [0, t]
-    from scipy.integrate import quad
-
-    c22_int, _ = quad(lambda s: coeffs.c22(s, T_star, params), 0.0, t, epsrel=1e-10)
-    a2 = math.exp(-(b2_ * t + 2.0 * s2sq * c22_int)) * p2
-    inner, _ = quad(
-        lambda s: math.exp(
-            2.0 * b2_ * s
-            + 4.0 * s2sq * quad(lambda u: coeffs.c22(u, T_star, params), 0.0, s, epsrel=1e-8)[0]
-        )
-        * s2sq,
-        0.0,
-        t,
-        epsrel=1e-8,
-    )
-    be2 = math.exp(-(2.0 * b2_ * t + 4.0 * s2sq * c22_int)) * inner
-
-    a3, be3 = _ou_moments(p3, params.b3, params.sigma3, t)
-    return ForwardMoments(t, T_star, (a1, a2, a3), (be1, be2, be3))
-
-
 def q_conditional_law(
     i: int, t: float, T: float, state: FactorState, params: ModelParams
 ) -> GaussianLaw:
@@ -148,12 +105,18 @@ def q_conditional_law(
 def gaussian_exp_quadratic(law: GaussianLaw, c: float) -> float:
     """E[exp(c Z^2)] for Z ~ N(mean, variance).
 
-    Finite iff 1 - 2*c*variance > 0; otherwise raises MomentExplosion
-    rather than silently truncating.
+    Finite iff 1 - 2*c*variance > 0; otherwise, and where the finite value
+    overflows a float next to that pole, raises MomentExplosion rather than
+    silently truncating.
     """
     denom = 1.0 - 2.0 * c * law.variance
     if denom <= 0.0:
         raise MomentExplosion(
             f"E[exp(c Z^2)] diverges: c={c}, variance={law.variance}"
         )
-    return math.exp(c * law.mean ** 2 / denom) / math.sqrt(denom)
+    try:
+        return math.exp(c * law.mean ** 2 / denom - 0.5 * math.log(denom))
+    except OverflowError:
+        raise MomentExplosion(
+            f"E[exp(c Z^2)] overflows: c={c}, mean={law.mean}, variance={law.variance}"
+        ) from None

@@ -1,26 +1,27 @@
 """Semi-closed caplet, floorlet and payer-swaption pricers.
 
 Both option payoffs are positive parts of exponential-quadratic functions
-of the three Gaussian factors at expiry.  The z-integral (spread factor)
-is carried out in closed Gaussian form after locating the exercise
-boundary z = zbar(x, y); the remaining (x, y) integral is done by tensor
-Gauss-Legendre quadrature on a +/- 8 standard-deviation box, with each
-x-line split at the exercise-region boundary so every sub-integrand is
-smooth and the quadrature converges spectrally.
-
-Stability note: wherever the assembled formulas call for
-exp(C33*zbar^2)-type boundary terms, the caplet pricer folds them back
-into the strike level (the defining equation of zbar makes the product
-equal to Rtilde exactly), avoiding overflow for far-out boundary points.
+of the three Gaussian factors at expiry.  Outside the exercise boundary
+|z| = zbar(x, y) the spread factor z integrates in closed Gaussian form.
+The (x, y) integral is one tensor Gauss-Legendre kernel for both products
+(_tensor_gl) on a +/- truncation standard-deviation box, each y-row's
+x-line split where the exercise function at z = 0 crosses the strike, so
+every panel is smooth and node doubling converges spectrally.  Integrands
+are evaluated on blocks of whole panels as arrays, the swaption's periods
+on the leading axis.  The caplet's split and boundary are closed form; the
+swaption's splits come from one scan and one vectorised bisection over all
+rows (_column_panels), its boundary from a Newton iteration in u = zbar^2
+(_boundary_root).  The exp(C33*zbar^2)-type boundary terms fold back into
+the strike level (Rtilde, or h(x, y) for the swaption), so nothing overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from . import coeffs
 from .curves import ois_bond
@@ -49,6 +50,13 @@ __all__ = [
     "swaption_region",
     "swaption_price",
 ]
+
+# array elements (nodes x periods) per block of the quadrature kernel and of
+# the split-point scan: 128 KiB per float64 temporary, so that a price's
+# temporaries stay at a few MiB whatever the node and period counts
+_BLOCK = 1 << 14
+_N_SCAN = 256
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,130 @@ class QuadratureConfig:
 
 
 # ---------------------------------------------------------------------------
+# quadrature kernel
+
+
+# The normal CDF in numpy alone, so that the library does not import scipy
+# (about 25 MiB resident and 0.3 s to import): W. J. Cody's rational
+# approximations of erfc (Math. Comp. 23, 1969), coefficients from the
+# highest power down.  erfc(y) = 1 - y A(y^2)/B(y^2) up to y = 0.46875,
+# exp(-y^2) C(y)/D(y) up to 4, and above that
+# exp(-y^2) (1/sqrt(pi) - w P(w)/Q(w)) / y with w = 1/y^2.
+_ERFC_A = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+           3.77485237685302021e02, 3.20937758913846947e03)
+_ERFC_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+           2.84423683343917062e03)
+_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERFC_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _ratio(num, den, v):
+    p, q = np.full_like(v, num[0]), np.full_like(v, den[0])
+    for a, b in zip(num[1:], den[1:]):
+        p *= v
+        p += a
+        q *= v
+        q += b
+    return p / q
+
+
+def _ndtr(x):
+    """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise, within 1e-12
+    relative error in both tails down to 1e-300."""
+    y = np.abs(x) * math.sqrt(0.5)
+    erfc = np.empty_like(y)
+    small, big = y <= 0.46875, y > 4.0
+    v = y[small]
+    erfc[small] = 1.0 - v * _ratio(_ERFC_A, _ERFC_B, v * v)
+    mid = ~(small | big)
+    v = y[mid]
+    erfc[mid] = np.exp(-v * v) * _ratio(_ERFC_C, _ERFC_D, v)
+    v = y[big]
+    w = 1.0 / (v * v)
+    erfc[big] = np.exp(-v * v) * (1.0 / math.sqrt(math.pi) - w * _ratio(_ERFC_P, _ERFC_Q, w)) / v
+    erfc *= 0.5
+    return np.where(x < 0.0, erfc, 1.0 - erfc)
+
+
+@lru_cache(maxsize=16)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _normal_pdf(x, mean: float, sd: float):
+    return np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def _refine(estimate, quad: QuadratureConfig) -> float:
+    n = quad.n_nodes_per_axis
+    prev = estimate(n)
+    history = [(n, prev)]
+    for _ in range(quad.max_refinements):
+        n *= 2
+        cur = estimate(n)
+        history.append((n, cur))
+        if abs(cur - prev) <= quad.rel_tol * abs(cur) + 1e-15:
+            return cur
+        prev = cur
+    raise QuadratureFailure(
+        f"node doubling did not converge to rel {quad.rel_tol}: last={prev}", history
+    )
+
+
+def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
+               width: int = 1) -> float:
+    """E[integrand] over (x, y) ~ N(alpha, beta) on the truncated box.
+
+    cuts(ys, x_lo, x_hi) returns the points (row index, x) where the y-rows'
+    x-lines cross the exercise-region boundary.  They split each line into
+    panels, and member(x, y) tags each panel by its midpoint.  Every y-row
+    and every panel gets n Gauss-Legendre nodes.  integrand(x, y, in_m)
+    takes flat node arrays, in blocks of about _BLOCK elements of
+    nodes x (width + 1); width is the integrand's period count.
+    """
+    gx, gw = _leggauss(n)
+    (a1, a2, _), (b1v, b2v, _) = fm.alpha, fm.beta
+    s1, s2 = math.sqrt(b1v), math.sqrt(b2v)
+    y_lo, y_hi = a2 - quad.truncation * s2, a2 + quad.truncation * s2
+    ys = 0.5 * (y_hi + y_lo) + 0.5 * (y_hi - y_lo) * gx
+    wys = 0.5 * (y_hi - y_lo) * gw * _normal_pdf(ys, a2, s2)
+    x_lo, x_hi = a1 - quad.truncation * s1, a1 + quad.truncation * s1
+    row, cut = cuts(ys, x_lo, x_hi)
+    # each row's edges x_lo, cuts, x_hi in order: consecutive edges of one
+    # row bound a panel
+    row = np.concatenate([np.arange(n), row, np.arange(n)])
+    edge = np.concatenate([np.full(n, x_lo), cut, np.full(n, x_hi)])
+    order = np.lexsort((edge, row))
+    row, edge = row[order], edge[order]
+    keep = (row[1:] == row[:-1]) & (edge[1:] > edge[:-1])
+    row, lo, hi = row[1:][keep], edge[:-1][keep], edge[1:][keep]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    # blocks of whole panels, or pieces of one panel when it alone exceeds
+    # _BLOCK elements
+    per = max(1, _BLOCK // (width + 1))
+    step, piece = max(1, per // n), min(n, per)
+    total = 0.0
+    for p in range(0, row.size, step):
+        blk = slice(p, p + step)
+        in_m = member(mid[blk], ys[row[blk]])
+        for k in range(0, n, piece):
+            xs = mid[blk, None] + half[blk, None] * gx[k:k + piece]
+            wxs = (wys[row[blk]] * half[blk])[:, None] * gw[k:k + piece] * _normal_pdf(xs, a1, s1)
+            m = xs.shape[1]
+            f = integrand(xs.ravel(), np.repeat(ys[row[blk]], m), np.repeat(in_m, m))
+            total += float(np.dot(wxs.ravel(), f))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # caplet
 
 
@@ -136,20 +268,6 @@ def caplet_region(
     return RegionBoundary(in_region=True, z1=-z2, z2=z2)
 
 
-def _refine(estimate, quad: QuadratureConfig) -> float:
-    n = quad.n_nodes_per_axis
-    prev = estimate(n)
-    for _ in range(quad.max_refinements):
-        n *= 2
-        cur = estimate(n)
-        if abs(cur - prev) <= quad.rel_tol * abs(cur) + 1e-15:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"node doubling did not converge to rel {quad.rel_tol}: last={prev}"
-    )
-
-
 def caplet_price(
     caplet: CapletSpec,
     params: ModelParams,
@@ -158,8 +276,8 @@ def caplet_price(
     """Time-0 caplet price.
 
     The z-integral over the exercise region is in closed Gaussian form; the
-    (x, y) integral is tensor Gauss-Legendre with each x-line split at the
-    closed-form membership boundary so the integrand is smooth per panel.
+    (x, y) integral is the tensor Gauss-Legendre kernel with each x-line
+    split at the closed-form membership boundary kb*x = w0(y).
     """
     if caplet.T <= 0.0:
         raise InvalidTimeOrder(caplet.T, 0.0)
@@ -170,8 +288,7 @@ def caplet_price(
     ln_rt = math.log(r_t)
 
     fm = forward_moments(caplet.T, caplet.T + caplet.delta, params)
-    a1, a2, a3 = fm.alpha
-    b1v, b2v, b3v = fm.beta
+    a3, b3v = fm.alpha[2], fm.beta[2]
     disc = 1.0 - 2.0 * b3v * c33
     if disc <= 0.0:
         raise CapletConditionViolated(
@@ -182,54 +299,32 @@ def caplet_price(
     theta = a3 * (1.0 - 1.0 / sq) / b3v
     gam = math.exp(0.5 * theta * theta * b3v - a3 * theta) / sq
     shift = a3 - theta * b3v
-
-    s1, s2 = math.sqrt(b1v), math.sqrt(b2v)
     p0 = ois_bond(FactorState(0.0, params.psi0), caplet.T + caplet.delta, params).value
 
+    def slack(x, y):
+        # (x, y) is in M where kb*x <= w0(y)
+        return ln_rt - cb.A_bar - cb.C22 * y * y - kb * x
+
+    def cuts(ys, x_lo, x_hi):
+        if kb == 0.0:
+            return np.empty(0, dtype=int), np.empty(0)
+        x = slack(0.0, ys) / kb
+        row = np.nonzero((x > x_lo) & (x < x_hi))[0]
+        return row, x[row]
+
+    def integrand(x, y, in_m):
+        big_e = np.exp(cb.A_bar + kb * x + cb.C22 * y * y)
+        val = big_e * gam - r_t
+        xm, ym = x[in_m], y[in_m]
+        z2 = np.sqrt(np.maximum(slack(xm, ym), 0.0) / c33)
+        # the tails |z| > z2 under the tilted and the plain z-law; the
+        # boundary terms E * exp(C33*z2^2) equal Rtilde there
+        p = _ndtr(np.stack([-sq * z2 - shift, shift - sq * z2, -z2 - a3, a3 - z2]) / s3)
+        val[in_m] = big_e[in_m] * gam * (p[0] + p[1]) - r_t * (p[2] + p[3])
+        return val
+
     def estimate(n: int) -> float:
-        gx, gw = np.polynomial.legendre.leggauss(n)
-        y_lo, y_hi = a2 - quad.truncation * s2, a2 + quad.truncation * s2
-        x_lo, x_hi = a1 - quad.truncation * s1, a1 + quad.truncation * s1
-        ys = 0.5 * (y_hi + y_lo) + 0.5 * (y_hi - y_lo) * gx
-        wys = 0.5 * (y_hi - y_lo) * gw
-        total = 0.0
-        for yj, wyj in zip(ys, wys):
-            w0 = ln_rt - cb.A_bar - cb.C22 * yj * yj
-            # partition the x-line by membership in M: kb*x <= w0
-            if kb > 0.0:
-                xs_star = w0 / kb
-                panels = [(x_lo, min(max(xs_star, x_lo), x_hi), True),
-                          (min(max(xs_star, x_lo), x_hi), x_hi, False)]
-            elif kb < 0.0:
-                xs_star = w0 / kb
-                panels = [(x_lo, min(max(xs_star, x_lo), x_hi), False),
-                          (min(max(xs_star, x_lo), x_hi), x_hi, True)]
-            else:
-                panels = [(x_lo, x_hi, w0 >= 0.0)]
-            col = 0.0
-            for lo, hi, in_m in panels:
-                if hi <= lo:
-                    continue
-                xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
-                wxs = 0.5 * (hi - lo) * gw
-                big_e = np.exp(cb.A_bar + kb * xs + cb.C22 * yj * yj)
-                if in_m:
-                    z2 = np.sqrt(np.maximum(w0 - kb * xs, 0.0) / c33)
-                    d1 = (sq * (-z2) - shift) / s3
-                    d2 = (sq * z2 - shift) / s3
-                    d3 = (-z2 - a3) / s3
-                    d4 = (z2 - a3) / s3
-                    # E * exp(C33*z2^2) == Rtilde on the boundary equation
-                    integ = big_e * gam * (ndtr(d1) + ndtr(-d2)) - r_t * (
-                        ndtr(d3) + ndtr(-d4)
-                    )
-                else:
-                    integ = big_e * gam - r_t
-                f1 = np.exp(-0.5 * ((xs - a1) / s1) ** 2) / (s1 * math.sqrt(2.0 * math.pi))
-                col += float(np.sum(wxs * integ * f1))
-            f2 = math.exp(-0.5 * ((yj - a2) / s2) ** 2) / (s2 * math.sqrt(2.0 * math.pi))
-            total += wyj * col * f2
-        return p0 * total
+        return p0 * _tensor_gl(n, quad, fm, cuts, lambda x, y: slack(x, y) >= 0.0, integrand)
 
     return caplet.notional * _refine(estimate, quad)
 
@@ -253,173 +348,165 @@ def floorlet_price(
 
 
 def _swaption_period_rho3(t: float, k: int, swap: SwapSpec, params: ModelParams) -> float:
-    """Closed-form rho3(t, period k) without the pole screening (used only for
-    the case classification, which needs the sign)."""
-    t_fix, t_pay = swap.fix_date(k), swap.pay_date(k)
-    c33_k = coeffs.c33_bar(t_fix, t_pay, params)
-    s3sq = params.sigma3 ** 2
-    denom_h = 4.0 * s3sq * c33_k - 4.0 * params.b3
-    if denom_h == 0.0:
-        raise MomentExplosion("h3 denominator vanishes exactly")
-    h3 = c33_k / denom_h
-    e = math.exp(-2.0 * params.b3 * (t_fix - t))
-    d = 4.0 * s3sq * h3 * e - 1.0
-    if d == 0.0:
+    """rho3(t, period k) = -C33bar_k e^{-2 b3 tau} / (1 - 2 C33bar_k beta3),
+    tau = T_{k-1} - t, without the pole screening of expectation_coeffs:
+    past the pole it turns positive, which the case classification reads."""
+    t_fix = swap.fix_date(k)
+    c33_k = coeffs.c33_bar(t_fix, swap.pay_date(k), params)
+    b3, tau = params.b3, t_fix - t
+    denom = 1.0 + c33_k * params.sigma3 ** 2 * math.expm1(-2.0 * b3 * tau) / b3
+    if denom == 0.0:
         raise MomentExplosion("rho3 pole at the evaluation time")
-    return -4.0 * params.b3 * h3 * e / d
+    return -c33_k * math.exp(-2.0 * b3 * tau) / denom
 
 
 def swaption_case(swap: SwapSpec, params: ModelParams) -> str:
     """Classify the swaption by the sign of the spread-factor exponent
-    rho3(T0, .) across periods: "case1" when all negative (payoff convex in
-    |z|), "case2" when all positive.  Mixed signs are refused."""
-    signs = [
-        _swaption_period_rho3(swap.T0, k, swap, params) > 0.0
-        for k in range(1, swap.n + 1)
-    ]
-    if all(signs):
-        return "case2"
-    if not any(signs):
-        return "case1"
-    raise MixedCase(
-        "periods fall in both monotonicity cases; the semi-closed pricer "
-        "requires a uniform sign of rho3 across periods"
-    )
+    rho3(T0, .) across periods: "case1" when all are negative (payoff
+    convex in |z|).  That is the only attainable case, because the first
+    period's exponent is -C33bar(T0, T1) < 0; mixed signs are refused."""
+    if any(_swaption_period_rho3(swap.T0, k, swap, params) > 0.0
+           for k in range(1, swap.n + 1)):
+        raise MixedCase(
+            "periods fall in both monotonicity cases; the semi-closed pricer "
+            "requires a uniform sign of rho3 across periods"
+        )
+    return "case1"
 
 
 class _SwaptionAssembly:
-    """Per-period coefficients of the exercise functions g and h at T0."""
+    """Per-period coefficients of the exercise functions g and h at T0:
+
+        g(x, y, z) = sum_k d0_k exp(-a0_k - b1t_k x - c22t_k y^2 - c33t_k z^2)
+        h(x, y)    = rg1 sum_k exp(-a0_k - b1_k x - c22_k y^2)
+
+    as arrays over the periods k."""
 
     def __init__(self, swap: SwapSpec, params: ModelParams):
         self.swap = swap
-        self.params = params
         t0 = swap.T0
-        self.a0 = []
-        self.d0 = []
-        self.b1t = []  # B1 + rho1 (g exponent)
-        self.c22t = []  # C22 + rho2
-        self.c33t = []  # rho3
-        self.b1 = []
-        self.c22 = []
+        rows = []
         for k in range(1, swap.n + 1):
             cbk = coeffs.bundle(t0, swap.pay_date(k), params)
             eck = expectation_coeffs(t0, k, swap, params)
             a_bar_k = coeffs.a_pair(swap.fix_date(k), swap.pay_date(k), params)[1]
-            self.a0.append(cbk.A)
-            self.d0.append(math.exp(a_bar_k + eck.gamma1 + eck.gamma2 + eck.gamma3))
-            self.b1t.append(cbk.B1 + eck.rho1)
-            self.c22t.append(cbk.C22 + eck.rho2)
-            self.c33t.append(eck.rho3)
-            self.b1.append(cbk.B1)
-            self.c22.append(cbk.C22)
+            log_d0 = a_bar_k + eck.gamma1 + eck.gamma2 + eck.gamma3
+            rows.append((cbk.A, log_d0, cbk.B1 + eck.rho1, cbk.C22 + eck.rho2,
+                         eck.rho3, cbk.B1, cbk.C22))
+        self.a0, log_d0, self.b1t, self.c22t, self.c33t, self.b1, self.c22 = (
+            np.array(col) for col in zip(*rows))
+        self.d0 = np.exp(log_d0)
         self.rg1 = swap.R * swap.gamma + 1.0
+        # the exponents of the terms of g(., ., 0) and of h are linear in
+        # (1, x, y^2): one matrix, g's periods first
+        self.lin = np.concatenate([
+            np.stack([log_d0 - self.a0, -self.b1t, -self.c22t], axis=1),
+            np.stack([math.log(self.rg1) - self.a0, -self.b1, -self.c22], axis=1),
+        ])
 
     def g(self, x, y, z):
-        out = 0.0
-        for k in range(self.swap.n):
-            out = out + self.d0[k] * np.exp(
-                -self.a0[k]
-                - self.b1t[k] * x
-                - self.c22t[k] * y * y
-                - self.c33t[k] * z * z
-            )
-        return out
+        return sum(d * np.exp(-a - bt * x - ct * y * y - r * z * z) for d, a, bt, ct, r
+                   in zip(self.d0, self.a0, self.b1t, self.c22t, self.c33t))
 
     def h(self, x, y):
-        out = 0.0
-        for k in range(self.swap.n):
-            out = out + self.rg1 * np.exp(
-                -self.a0[k] - self.b1[k] * x - self.c22[k] * y * y
-            )
-        return out
+        return sum(self.rg1 * np.exp(-a - b * x - c * y * y)
+                   for a, b, c in zip(self.a0, self.b1, self.c22))
+
+    def log_terms(self, x, y):
+        """Logs of the terms of g(x, y, 0) (the first n_periods rows) and of
+        h(x, y) (the rest), shape (2 n_periods,) + the broadcast shape."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        v = np.stack([np.ones(x.size), x.ravel(), (y * y).ravel()])
+        return (self.lin @ v).reshape((len(self.lin),) + x.shape)
+
+    def phi0(self, x, y):
+        """g(x, y, 0) - h(x, y)."""
+        t = np.exp(self.log_terms(x, y))
+        return t[:self.swap.n].sum(axis=0) - t[self.swap.n:].sum(axis=0)
 
 
-def _boundary_root(asm: _SwaptionAssembly, x, y, case: str):
-    """Positive root z2 of g(x, y, z) = h(x, y), vectorized bisection.
+def _boundary_root(asm: _SwaptionAssembly, x, y):
+    """Positive root z2 of g(x, y, z) = h(x, y) at the nodes x, y (1-D
+    arrays) of the exercise region (g(x, y, 0) <= h); g is even in z, so
+    z1 = -z2.
 
-    Case 1: g increases in |z| from g(.,0) <= h to +inf (root exists on the
-    membership set).  Case 2: g decreases in |z| from g(.,0) >= h to 0 < h
-    (root exists on the complement).  g is even in z, so z1 = -z2.
+    With u = z^2, F(u) = log sum_k E_k exp(-c33t_k u) - log h is convex and
+    increasing, since every c33t_k < 0 (case 1).  Newton started at u = 0
+    therefore overshoots once and then converges monotonically from the
+    right.  The sum is taken in log-sum-exp form, so nothing overflows.  u
+    is clamped at 0, which puts a node whose F(0) is a hair above 0 on z = 0.
     """
-    x = np.asarray(x, dtype=float)
-    h_val = asm.h(x, y)
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, 1.0)
-    target = asm.g(x, y, hi) - h_val
-    want_pos = case == "case1"  # phi(z) = g - h crosses 0 from below (case1)
-    for _ in range(80):
-        done = (target > 0.0) if want_pos else (target < 0.0)
-        if bool(np.all(done)):
-            break
-        hi = np.where(done, hi, hi * 2.0)
-        target = asm.g(x, y, hi) - h_val
-        if float(np.max(hi)) > 1e12:
-            raise RootNotBracketed("no sign change of g - h for z up to 1e12")
-    else:
-        raise RootNotBracketed("bracket expansion for the z-root failed")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        phi = asm.g(x, y, mid) - h_val
-        go_up = (phi < 0.0) if want_pos else (phi > 0.0)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-        if float(np.max(hi - lo)) <= 1e-12 * (1.0 + float(np.max(hi))):
-            break
-    return 0.5 * (lo + hi)
+    n = asm.swap.n
+    terms = asm.log_terms(x, y)
+    lt, lh = terms[:n], np.log(np.exp(terms[n:]).sum(axis=0))
+    slope = -asm.c33t[:, None]
+    u = np.zeros_like(lh)
+    for _ in range(_NEWTON_MAX_ITER):
+        lg = lt + slope * u
+        m = lg.max(axis=0)
+        w = np.exp(lg - m)
+        s = w.sum(axis=0)
+        f = m + np.log(s) - lh
+        u_next = np.maximum(u - f * s / (slope * w).sum(axis=0), 0.0)
+        # F within rounding of 0, or pinned at the clamp; one last step
+        # polishes the converged nodes
+        done = (np.abs(f) <= 1e-13 * (1.0 + np.abs(lh))) | ((u == 0.0) & (f > 0.0))
+        u = u_next
+        if done.all():
+            return np.sqrt(u)
+    raise RootNotBracketed(
+        f"Newton iteration for the z-boundary did not converge in {_NEWTON_MAX_ITER} steps"
+    )
 
 
 def swaption_region(
     x: float, y: float, swap: SwapSpec, params: ModelParams, case: str | None = None
 ) -> RegionBoundary:
     """Membership of (x, y) in the set where the time-T0 swap value at z = 0
-    is at or below the fixed leg, plus the boundary roots when they exist
-    (case1: on the membership set; case2: on its complement)."""
+    is at or below the fixed leg, plus the boundary roots there.  case, when
+    given, must be "case1" (the only attainable case, see swaption_case)."""
     if case is None:
         case = swaption_case(swap, params)
+    if case != "case1":
+        raise ValueError(f"only case1 swaptions are attainable, got {case!r}")
     asm = _SwaptionAssembly(swap, params)
-    g0 = float(asm.g(x, y, 0.0))
-    h0 = float(asm.h(x, y))
-    in_region = g0 <= h0
-    roots_exist = in_region if case == "case1" else (not in_region) or g0 == h0
-    if not roots_exist:
-        return RegionBoundary(in_region=in_region)
-    z2 = float(_boundary_root(asm, np.array([x]), y, case)[0])
-    return RegionBoundary(in_region=in_region, z1=-z2, z2=z2)
+    if float(asm.phi0(x, y)) > 0.0:
+        return RegionBoundary(in_region=False)
+    z2 = float(_boundary_root(asm, np.array([x]), np.array([y]))[0])
+    return RegionBoundary(in_region=True, z1=-z2, z2=z2)
 
 
-def _column_panels(asm: _SwaptionAssembly, y: float, x_lo: float, x_hi: float):
-    """Split [x_lo, x_hi] at the roots of g(., y, 0) - h(., y) and tag each
-    panel with its membership (g(.,0) <= h)."""
-    n_scan = 256
-    xs = np.linspace(x_lo, x_hi, n_scan + 1)
-    phi = np.asarray(asm.g(xs, y, 0.0) - asm.h(xs, y))
-    cuts = []
-    for i in range(n_scan):
-        a, b = phi[i], phi[i + 1]
-        if a == 0.0:
-            cuts.append(xs[i])
-        elif (a < 0.0) != (b < 0.0):
-            lo, hi = xs[i], xs[i + 1]
-            flo = a
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = float(asm.g(mid, y, 0.0) - asm.h(mid, y))
-                if (fm < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo <= 1e-13 * (1.0 + abs(hi)):
-                    break
-            cuts.append(0.5 * (lo + hi))
-    edges = [x_lo] + cuts + [x_hi]
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0.0:
-            continue
+def _column_panels(asm: _SwaptionAssembly, ys, x_lo: float, x_hi: float):
+    """The points (row index, x) where the y-rows' x-lines on [x_lo, x_hi]
+    cross g(., y, 0) = h(., y), which split them into panels.
+
+    One scan of every row on a _N_SCAN-interval grid finds the brackets and
+    one vectorised bisection refines all of them.
+    """
+    xs = np.linspace(x_lo, x_hi, _N_SCAN + 1)
+    # g(x, y, 0) and h(x, y) separate into row and grid factors: the scan
+    # is one matrix product per block of rows
+    n = asm.swap.n
+    t_rows = np.exp(asm.log_terms(0.0, ys)).T
+    g_rows, h_rows = t_rows[:, :n], -t_rows[:, n:]
+    g_grid, h_grid = np.exp(-np.outer(asm.b1t, xs)), np.exp(-np.outer(asm.b1, xs))
+    step = max(1, _BLOCK // xs.size)
+    row, col = [], []
+    for r in range(0, ys.size, step):
+        neg = g_rows[r:r + step] @ g_grid + h_rows[r:r + step] @ h_grid < 0.0
+        j, i = np.nonzero(neg[:, :-1] != neg[:, 1:])
+        row.append(j + r)
+        col.append(i)
+    row, col = np.concatenate(row), np.concatenate(col)
+    lo, hi, yb = xs[col], xs[col + 1], ys[row]
+    neg_lo = asm.phi0(lo, yb) < 0.0
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        in_m = float(asm.g(mid, y, 0.0) - asm.h(mid, y)) <= 0.0
-        panels.append((lo, hi, in_m))
-    return panels
+        same = (asm.phi0(mid, yb) < 0.0) == neg_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        if np.all(hi - lo <= 1e-13 * (1.0 + np.abs(hi))):
+            break
+    return row, 0.5 * (lo + hi)
 
 
 def swaption_price(
@@ -430,91 +517,50 @@ def swaption_price(
     """Time-0 payer-swaption price with expiry at the swap's first reset T0.
 
     The payoff is (g(x,y,z) - h(x,y))^+ in the T0 factor values under the
-    T0-forward measure.  The z-integral is closed-form Gaussian between the
-    exercise boundaries; (x, y) is tensor Gauss-Legendre with x-lines split
-    at the membership boundary.  In case 2 (all period z-exponents positive)
-    g decreases in |z|, so the boundary roots live on the complement of the
-    membership set and the membership set itself contributes nothing.
+    T0-forward measure.  Every period's z-exponent is negative, so g grows
+    in |z|: off the exercise region (g(., 0) > h) the payoff is the plain
+    mean, and on it the z-integral is closed-form Gaussian outside the
+    boundary |z| = z2 from _boundary_root.  (x, y) is the tensor
+    Gauss-Legendre kernel with x-lines split at the region boundary by
+    _column_panels, periods on the leading axis of every array.
     """
     swap = spec.swap
     if swap.T0 <= 0.0:
         raise InvalidTimeOrder(swap.T0, 0.0)
-    case = swaption_case(swap, params)
+    swaption_case(swap, params)
     asm = _SwaptionAssembly(swap, params)
 
     fm = forward_moments(swap.T0, swap.T0, params)
-    a1, a2, a3 = fm.alpha
-    b1v, b2v, b3v = fm.beta
-    s1, s2, s3 = math.sqrt(b1v), math.sqrt(b2v), math.sqrt(b3v)
-
-    sqs, thetas, gammas = [], [], []
-    for k in range(swap.n):
-        disc = 1.0 + 2.0 * b3v * asm.c33t[k]
-        if disc <= 0.0:
-            raise MomentExplosion(
-                f"1 + 2*beta3*C33_tilde = {disc} <= 0 for period {k + 1}"
-            )
-        sq = math.sqrt(disc)
-        th = a3 * (1.0 - 1.0 / sq) / b3v
-        sqs.append(sq)
-        thetas.append(th)
-        gammas.append(math.exp(0.5 * th * th * b3v - a3 * th) / sq)
-
+    a3, b3v = fm.alpha[2], fm.beta[2]
+    s3 = math.sqrt(b3v)
+    disc = 1.0 + 2.0 * b3v * asm.c33t
+    if np.any(disc <= 0.0):
+        k = int(np.argmax(disc <= 0.0))
+        raise MomentExplosion(
+            f"1 + 2*beta3*C33_tilde = {disc[k]} <= 0 for period {k + 1}"
+        )
+    sqs = np.sqrt(disc)[:, None]
+    thetas = a3 * (1.0 - 1.0 / sqs) / b3v
+    gammas = np.exp(0.5 * thetas * thetas * b3v - a3 * thetas) / sqs
+    shifts = a3 - thetas * b3v
     p0 = ois_bond(FactorState(0.0, params.psi0), swap.T0, params).value
 
+    def integrand(x, y, in_m):
+        t = np.exp(asm.log_terms(x, y))
+        ge, h = gammas * t[:swap.n], t[swap.n:].sum(axis=0)
+        # off the region g >= h for every z: the positive part is the mean
+        val = ge.sum(axis=0) - h
+        z2 = _boundary_root(asm, x[in_m], y[in_m])
+        # the tails |z| > z2 under each period's tilted z-law and the plain
+        # one; the boundary terms sum_k E_k exp(-c33t_k z2^2) equal h there
+        sz = sqs * z2
+        p = _ndtr(np.concatenate([-sz - shifts, shifts - sz, [-z2 - a3, a3 - z2]]) / s3)
+        n = swap.n
+        val[in_m] = (ge[:, in_m] * (p[:n] + p[n:2 * n])).sum(axis=0) - h[in_m] * (p[-2] + p[-1])
+        return val
+
     def estimate(n: int) -> float:
-        gx, gw = np.polynomial.legendre.leggauss(n)
-        y_lo, y_hi = a2 - quad.truncation * s2, a2 + quad.truncation * s2
-        x_lo, x_hi = a1 - quad.truncation * s1, a1 + quad.truncation * s1
-        ys = 0.5 * (y_hi + y_lo) + 0.5 * (y_hi - y_lo) * gx
-        wys = 0.5 * (y_hi - y_lo) * gw
-        total = 0.0
-        for yj, wyj in zip(ys, wys):
-            col = 0.0
-            for lo, hi, in_m in _column_panels(asm, yj, x_lo, x_hi):
-                xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
-                wxs = 0.5 * (hi - lo) * gw
-                has_roots = in_m if case == "case1" else not in_m
-                if has_roots:
-                    z2 = _boundary_root(asm, xs, yj, case)
-                    integ = np.zeros_like(xs)
-                    for k in range(swap.n):
-                        e_g = asm.d0[k] * np.exp(
-                            -asm.a0[k] - asm.b1t[k] * xs - asm.c22t[k] * yj * yj
-                        )
-                        d_out = (sqs[k] * (-z2) - (a3 - thetas[k] * b3v)) / s3
-                        d_out2 = (sqs[k] * z2 - (a3 - thetas[k] * b3v)) / s3
-                        d_in = (-z2 - a3) / s3
-                        d_in2 = (z2 - a3) / s3
-                        # boundary terms exp(-c33t*z2^2)*Phi(tail) in log space:
-                        # the product is bounded whenever 1+2*beta3*c33t > 0
-                        # even where the bare exponential overflows
-                        lb = -asm.c33t[k] * z2 * z2
-                        if case == "case1":
-                            bpart = np.exp(lb + log_ndtr(d_in)) + np.exp(
-                                lb + log_ndtr(-d_in2)
-                            )
-                            inner = gammas[k] * (ndtr(d_out) + ndtr(-d_out2)) - bpart
-                        else:
-                            bpart = np.exp(lb) * (ndtr(d_in2) - ndtr(d_in))
-                            inner = gammas[k] * (ndtr(d_out2) - ndtr(d_out)) - bpart
-                        integ = integ + e_g * inner
-                elif case == "case1":
-                    # g >= h for every z: the positive part is the plain mean
-                    integ = np.zeros_like(xs)
-                    for k in range(swap.n):
-                        integ = integ + asm.d0[k] * gammas[k] * np.exp(
-                            -asm.a0[k] - asm.b1t[k] * xs - asm.c22t[k] * yj * yj
-                        ) - asm.rg1 * np.exp(
-                            -asm.a0[k] - asm.b1[k] * xs - asm.c22[k] * yj * yj
-                        )
-                else:
-                    # case 2 off the root set: g < h everywhere, payoff zero
-                    continue
-                f1 = np.exp(-0.5 * ((xs - a1) / s1) ** 2) / (s1 * math.sqrt(2.0 * math.pi))
-                col += float(np.sum(wxs * integ * f1))
-            f2 = math.exp(-0.5 * ((yj - a2) / s2) ** 2) / (s2 * math.sqrt(2.0 * math.pi))
-            total += wyj * col * f2
-        return p0 * total
+        return p0 * _tensor_gl(n, quad, fm, partial(_column_panels, asm),
+                               lambda x, y: asm.phi0(x, y) <= 0.0, integrand, swap.n)
 
     return swap.notional * _refine(estimate, quad)

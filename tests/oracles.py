@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from twocurve import coeffs, ois_bond
-from twocurve.measures import forward_moments
+from twocurve import InvalidTimeOrder, coeffs, ois_bond
+from twocurve.measures import ForwardMoments, forward_moments
 from twocurve.model import FactorState
 
 
@@ -182,3 +183,132 @@ def forward_moments_rk4(t: float, T_star: float, params, n_steps: int):
                   for a, b, c, d, e in zip(y, k1, k2, k3, k4))
         u += h
     return y
+
+
+def forward_moments_printed(t: float, T_star: float, params) -> ForwardMoments:
+    """The closed-form factor-1/2 moments exactly as printed, for comparison
+    tests only.  The factor-1 entries are known to be inconsistent with the
+    dynamics (wrong sign in the mean correction, extra 1/b1 in the variance);
+    the library uses measures.forward_moments.  Factor 3 is the plain OU law."""
+    if t > T_star:
+        raise InvalidTimeOrder(t, T_star)
+    b1_, b2_ = params.b1, params.b2
+    s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
+    p1, p2, p3 = params.psi0
+
+    a1 = math.exp(-b1_ * t) * (
+        p1
+        - s1sq / (2.0 * b1_ ** 2) * math.exp(-b1_ * T_star) * (1.0 - math.exp(2.0 * b1_ * t))
+        - s1sq / (b1_ ** 2) * (1.0 - math.exp(b1_ * t))
+    )
+    be1 = math.exp(-2.0 * b1_ * t) * (math.exp(2.0 * b1_ * t) - 1.0) * s1sq / (2.0 * b1_ ** 2)
+
+    # the printed "C22 integral" symbol is read as the running time-integral
+    # of C22(s, T*) over [0, t]
+    c22_int, _ = quad(lambda s: coeffs.c22(s, T_star, params), 0.0, t, epsrel=1e-10)
+    a2 = math.exp(-(b2_ * t + 2.0 * s2sq * c22_int)) * p2
+    inner, _ = quad(
+        lambda s: math.exp(
+            2.0 * b2_ * s
+            + 4.0 * s2sq * quad(lambda u: coeffs.c22(u, T_star, params), 0.0, s, epsrel=1e-8)[0]
+        )
+        * s2sq,
+        0.0,
+        t,
+        epsrel=1e-8,
+    )
+    be2 = math.exp(-(2.0 * b2_ * t + 4.0 * s2sq * c22_int)) * inner
+
+    a3 = math.exp(-params.b3 * t) * p3
+    be3 = params.sigma3 ** 2 * -math.expm1(-2.0 * params.b3 * t) / (2.0 * params.b3)
+    return ForwardMoments(t, T_star, (a1, a2, a3), (be1, be2, be3))
+
+
+def swaption_z_root_bisect(asm, x, y):
+    """Reference exercise boundary z2 of g(x, y, z) = h(x, y) where
+    g(x, y, 0) <= h: bracket doubling from z = 1, then bisection, vectorised
+    over x for one y.  g grows in |z| (every period's z-exponent is
+    negative), so the root is unique."""
+    x = np.asarray(x, dtype=float)
+    h_val = asm.h(x, y)
+    lo, hi = np.zeros_like(x), np.ones_like(x)
+    for _ in range(80):
+        above = asm.g(x, y, hi) - h_val > 0.0
+        if np.all(above):
+            break
+        hi = np.where(above, hi, 2.0 * hi)
+    else:
+        raise RuntimeError("no sign change of g - h in z")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        go_up = asm.g(x, y, mid) - h_val < 0.0
+        lo, hi = np.where(go_up, mid, lo), np.where(go_up, hi, mid)
+        if float(np.max(hi - lo, initial=0.0)) <= 1e-12 * (1.0 + float(np.max(hi, initial=0.0))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _swaption_x_cuts(asm, y, x_lo, x_hi, n_scan=256):
+    """Roots in x of g(x, y, 0) - h(x, y) on [x_lo, x_hi]: a grid scan, then
+    a scalar bisection per bracket."""
+    xs = np.linspace(x_lo, x_hi, n_scan + 1)
+    phi = asm.g(xs, y, 0.0) - asm.h(xs, y)
+    cuts = []
+    for i in np.nonzero((phi[:-1] < 0.0) != (phi[1:] < 0.0))[0]:
+        lo, hi, neg_lo = xs[i], xs[i + 1], phi[i] < 0.0
+        while hi - lo > 1e-13 * (1.0 + abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if (float(asm.g(mid, y, 0.0) - asm.h(mid, y)) < 0.0) == neg_lo:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return cuts
+
+
+def swaption_z_quadrature(spec, params, n: int = 96, n_z: int = 64, trunc: float = 8.0) -> float:
+    """Payer swaption by Gauss-Legendre in z as well: p(0, T0) E[(g - h)^+]
+    over the +/- trunc standard-deviation (x, y, z) box of the T0-forward
+    law.  x-lines are split at the exercise-region boundary, z-lines at the
+    boundary roots +/- z2 from swaption_z_root_bisect, so every panel is
+    smooth.  Independent of the library's closed-form z-integral, Newton
+    boundary and blocked kernel; g and h are _SwaptionAssembly's reference
+    evaluations."""
+    from twocurve.optional import _SwaptionAssembly
+
+    swap = spec.swap
+    asm = _SwaptionAssembly(swap, params)
+    fm = forward_moments(swap.T0, swap.T0, params)
+    (a1, a2, a3), (s1, s2, s3) = fm.alpha, [math.sqrt(v) for v in fm.beta]
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    gz, gwz = np.polynomial.legendre.leggauss(n_z)
+
+    def nodes(lo, hi, g, w):
+        # Gauss-Legendre nodes and weights on [lo, hi], broadcast over lo/hi
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        return mid[..., None] + half[..., None] * g, half[..., None] * w
+
+    def pdf(v, mean, sd):
+        return np.exp(-0.5 * ((v - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    z_lo, z_hi = a3 - trunc * s3, a3 + trunc * s3
+    x_lo, x_hi = a1 - trunc * s1, a1 + trunc * s1
+    ys, wys = nodes(np.array(a2 - trunc * s2), np.array(a2 + trunc * s2), gx, gw)
+    total = 0.0
+    for y, wy in zip(ys, wys * pdf(ys, a2, s2)):
+        edges = [x_lo, *_swaption_x_cuts(asm, y, x_lo, x_hi), x_hi]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            xs, wxs = nodes(np.array(lo), np.array(hi), gx, gw)
+            h_val = asm.h(xs, y)
+            z2 = np.zeros_like(xs)
+            inside = asm.g(xs, y, 0.0) <= h_val
+            if inside.any():
+                z2[inside] = swaption_z_root_bisect(asm, xs[inside], y)
+            col = 0.0
+            for zl, zh in ((z_lo, np.clip(-z2, z_lo, z_hi)), (np.clip(z2, z_lo, z_hi), z_hi)):
+                zs, wzs = nodes(np.broadcast_to(zl, xs.shape), zh, gz, gwz)
+                pay = asm.g(xs[:, None], y, zs) - h_val[:, None]
+                col = col + np.sum(wzs * pdf(zs, a3, s3) * pay, axis=1)
+            total += wy * float(np.sum(wxs * pdf(xs, a1, s1) * col))
+    p0 = ois_bond(FactorState(0.0, params.psi0), swap.T0, params).value
+    return swap.notional * p0 * total

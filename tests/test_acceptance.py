@@ -45,9 +45,14 @@ from twocurve import (
     v_multi,
     v_single,
 )
-from twocurve.measures import forward_moments_printed
 from twocurve.optional import QuadratureConfig, _swaption_period_rho3
-from oracles import caplet_3d_quadrature, linear_b_rk4, riccati_rk4, simpson_adaptive
+from oracles import (
+    caplet_3d_quadrature,
+    forward_moments_printed,
+    linear_b_rk4,
+    riccati_rk4,
+    simpson_adaptive,
+)
 from conftest import random_params
 
 MC_PATHS = 1_000_000

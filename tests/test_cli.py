@@ -178,3 +178,27 @@ def test_non_finite_params_rejected(tmp_path, capsys):
     doc["params"]["sigma1"] = float("nan")
     assert run(_write(tmp_path, doc), str(tmp_path)) == 2
     assert "sigma1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["caplet", "floorlet", "cap", "swaption"])
+def test_option_products_reject_a_non_default_state(tmp_path, capsys, kind):
+    # the option pricers value from t = 0 and psi0; a scenario state that
+    # differs is refused, naming the field, instead of being ignored
+    prod = {"caplet": {"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012},
+            "floorlet": {"type": "floorlet", "T": 1.0, "delta": 0.5, "R": 0.012},
+            "cap": {"type": "cap", "T0": 0.5, "n": 2, "delta": 0.5, "R": 0.012},
+            "swaption": {"type": "swaption", "T0": 0.5, "n": 4, "gamma": 0.25, "R": 0.01},
+            }[kind]
+    fra = {"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01}
+    doc = _scenario([fra, prod], state={"psi": [0.02, 0.05, 0.05]})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "state.psi" in err and "products[1]" in err and kind in err
+    doc["state"] = {"t": 0.25}
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "state.t" in capsys.readouterr().err
+    # the default state written out in full, and any state for the FRA alone, pass
+    doc["state"] = {"t": 0.0, "psi": PARAMS["psi0"]}
+    assert parse_scenario(doc).state.psi == tuple(PARAMS["psi0"])
+    assert run(_write(tmp_path, _scenario([fra], state={"psi": [0.02, 0.05, 0.05]})),
+               str(tmp_path)) == 0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from twocurve import (
+    CapletSpec,
     FactorState,
+    FraSpec,
+    InvalidTimeOrder,
+    caplet_price,
+    fra_price,
     inst_forward,
     libor_bond,
     libor_bond_via_ois,
@@ -20,6 +25,19 @@ def test_unit_price_at_maturity(params):
     s = FactorState(1.3, (0.02, -0.01, 0.04))
     assert ois_bond(s, 1.3, params).value == 1.0
     assert libor_bond(s, 1.3, params).value == 1.0
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, -math.inf])
+def test_non_finite_maturity_rejected(params, state, T):
+    # the coefficient layer refuses the times instead of pricing a silent NaN
+    with pytest.raises(InvalidTimeOrder):
+        ois_bond(state, T, params)
+    with pytest.raises(InvalidTimeOrder):
+        libor_bond(state, T, params)
+    with pytest.raises(InvalidTimeOrder):
+        fra_price(state, FraSpec(T, 0.5, 0.01), params)
+    with pytest.raises(InvalidTimeOrder):
+        caplet_price(CapletSpec(T, 0.5, 0.01), params)
 
 
 def test_libor_below_ois_price(params, state):

@@ -8,6 +8,7 @@ from twocurve import (
     FactorState,
     FraSpec,
     ModelParams,
+    MomentExplosion,
     SwapSpec,
     adjustment,
     coeffs,
@@ -183,16 +184,16 @@ def test_rho3_pole_raises():
         expectation_coeffs(0.0, 1, swap, p)
 
 
-def test_rho3_just_inside_pole_prices_finite():
-    # bisect sigma3 onto the pole of the period's psi3 expectation, then
-    # price just inside it: both swap routes stay finite and agree
-    base = dict(b1=0.5, b2=0.3, b3=0.05, sigma1=0.01, sigma2=0.02, kappa=0.3,
-                psi0=(0.01, 0.05, 0.05))
-    swap = SwapSpec(5.0, 1, 1.0, 0.01)
+_POLE_BASE = dict(b1=0.5, b2=0.3, b3=0.05, sigma1=0.01, sigma2=0.02, kappa=0.3,
+                  psi0=(0.01, 0.05, 0.05))
+_POLE_SWAP = SwapSpec(5.0, 1, 1.0, 0.01)
 
+
+def _pole_sigma3():
+    """sigma3 bisected onto the pole of the period's psi3 expectation."""
     def singular(sigma3):
         try:
-            expectation_coeffs(0.0, 1, swap, ModelParams(sigma3=sigma3, **base))
+            expectation_coeffs(0.0, 1, _POLE_SWAP, ModelParams(sigma3=sigma3, **_POLE_BASE))
         except ExpectationSingularity:
             return True
         return False
@@ -202,10 +203,29 @@ def test_rho3_just_inside_pole_prices_finite():
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if singular(mid) else (mid, hi)
-    p = ModelParams(sigma3=lo * (1.0 - 1e-4), **base)
+    return lo
+
+
+def test_rho3_just_inside_pole_prices_finite():
+    # price just inside the pole: both swap routes stay finite and agree
+    base, swap = _POLE_BASE, _POLE_SWAP
+    p = ModelParams(sigma3=_pole_sigma3() * (1.0 - 1e-4), **base)
     s = FactorState(0.0, p.psi0)
     ec = expectation_coeffs(0.0, 1, swap, p)
     assert math.isfinite(ec.rho3) and ec.rho3 < -1e3 * coeffs.c33_bar(5.0, 6.0, p)
     v1 = swap_price(s, swap, p)
     assert math.isfinite(v1)
     assert v1 == pytest.approx(swap_price_via_fras(s, swap, p), rel=1e-8)
+
+
+def test_rho3_closer_to_pole_overflow_is_an_engine_error():
+    # at 1 - 1e-6 of the pole the period's expectation exceeds the float
+    # range: each route names the blow-up instead of an OverflowError
+    p = ModelParams(sigma3=_pole_sigma3() * (1.0 - 1e-6), **_POLE_BASE)
+    s = FactorState(0.0, p.psi0)
+    with pytest.raises(ExpectationSingularity):
+        swap_price(s, _POLE_SWAP, p)
+    with pytest.raises(MomentExplosion):
+        swap_price_via_fras(s, _POLE_SWAP, p)
+    with pytest.raises(MomentExplosion):
+        fra_price(s, FraSpec(5.0, 1.0, 0.01), p)

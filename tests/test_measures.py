@@ -13,9 +13,8 @@ from twocurve import (
     gaussian_exp_quadratic,
     q_conditional_law,
 )
-from twocurve.measures import forward_moments_printed
 from conftest import random_params
-from oracles import forward_moments_rk4
+from oracles import forward_moments_printed, forward_moments_rk4
 
 
 def test_forward_moments_at_zero(params):

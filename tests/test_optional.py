@@ -11,6 +11,8 @@ from twocurve import (
     MixedCase,
     ModelParams,
     QuadratureConfig,
+    QuadratureFailure,
+    RootNotBracketed,
     SwapSpec,
     SwaptionSpec,
     caplet_price,
@@ -19,13 +21,16 @@ from twocurve import (
     fair_fra_rate,
     fair_swap_rate,
     floorlet_price,
+    forward_moments,
     fra_price,
     swap_price,
     swaption_case,
     swaption_price,
     swaption_region,
 )
-from oracles import caplet_3d_quadrature
+from twocurve import optional
+from twocurve.optional import _SwaptionAssembly, _boundary_root, _ndtr
+from oracles import caplet_3d_quadrature, swaption_z_quadrature, swaption_z_root_bisect
 from conftest import random_params
 
 QUICK_QUAD = QuadratureConfig(n_nodes_per_axis=64)
@@ -36,6 +41,19 @@ def _g_caplet(x, y, z, caplet, params):
     return math.exp(
         cb.A_bar + (1.0 + params.kappa) * cb.B1 * x + cb.C22 * y * y + cb.C33_bar * z * z
     )
+
+
+def test_ndtr_matches_math_erfc():
+    # both tails down to ~1e-300 (below that the values are subnormal), the
+    # branch points of the rational approximations and the non-finite
+    # values, against the standard library's erfc
+    edges = math.sqrt(2.0) * np.array([0.46875, 4.0])
+    x = np.concatenate([np.linspace(-37.0, 9.0, 20001), edges, -edges,
+                        np.nextafter(edges, 0.0), -np.nextafter(edges, 0.0)])
+    ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    assert np.max(np.abs(_ndtr(x) / ref - 1.0)) <= 1e-12
+    assert np.array_equal(_ndtr(np.array([np.inf, -np.inf, np.nan])), [1.0, 0.0, np.nan],
+                          equal_nan=True)
 
 
 class TestCapletRegion:
@@ -111,6 +129,17 @@ class TestCapletPrice:
         with pytest.raises(CapletConditionViolated):
             caplet_price(CapletSpec(3.0, 1.0, 0.01), p, QUICK_QUAD)
 
+    def test_quadrature_failure_carries_history(self, params):
+        cap = CapletSpec(1.0, 0.5, 0.012)
+        with pytest.raises(QuadratureFailure, match="node doubling did not converge") as info:
+            caplet_price(cap, params, QuadratureConfig(n_nodes_per_axis=16, max_refinements=0))
+        assert [n for n, _ in info.value.history] == [16]
+        assert f"last={info.value.history[-1][1]}" in str(info.value)
+        with pytest.raises(QuadratureFailure) as info:
+            caplet_price(cap, params, QuadratureConfig(16, rel_tol=0.0, max_refinements=2))
+        assert [n for n, _ in info.value.history] == [16, 32, 64]
+        assert info.value.history[-1][1] == pytest.approx(caplet_price(cap, params), rel=1e-6)
+
     def test_node_doubling_converges(self, params, state):
         r0 = fair_fra_rate(state, 1.0, 0.5, params)
         cap = CapletSpec(1.0, 0.5, r0)
@@ -147,7 +176,40 @@ class TestSwaptionCase:
             assert _swaption_period_rho3(swap.T0, 1, swap, p) < 0.0
 
 
+def _grid_nodes(swap, params, n=128):
+    """An n x n grid over the +/- 8 standard-deviation (x, y) box at T0,
+    split into exercise-region nodes and the rest."""
+    fm = forward_moments(swap.T0, swap.T0, params)
+    axes = [np.linspace(a - 8.0 * math.sqrt(b), a + 8.0 * math.sqrt(b), n)
+            for a, b in zip(fm.alpha[:2], fm.beta[:2])]
+    x, y = (v.ravel() for v in np.meshgrid(*axes))
+    asm = _SwaptionAssembly(swap, params)
+    inside = asm.g(x, y, 0.0) <= asm.h(x, y)
+    return asm, x, y, inside
+
+
 class TestSwaptionRegion:
+    @pytest.mark.parametrize("n_periods", [1, 4, 20])
+    def test_newton_boundary_plug_back(self, params, state, n_periods):
+        swap = SwapSpec(1.0, n_periods, 0.25,
+                        fair_swap_rate(state, SwapSpec(1.0, n_periods, 0.25, 0.0), params))
+        asm, x, y, inside = _grid_nodes(swap, params)
+        assert 0 < inside.sum() < inside.size
+        xi, yi = x[inside], y[inside]
+        z2 = _boundary_root(asm, xi, yi)
+        h = asm.h(xi, yi)
+        assert np.max(np.abs(asm.g(xi, yi, z2) - h) / h) <= 1e-12
+        # the same boundary as the bracket-and-bisect reference, in u = z^2
+        assert np.max(np.abs(z2 ** 2 - swaption_z_root_bisect(asm, xi, yi) ** 2)) <= 1e-11
+        # off the region F(0) > 0 and the clamp puts the root at z = 0
+        assert np.all(_boundary_root(asm, x[~inside], y[~inside]) == 0.0)
+
+    def test_newton_iteration_cap_raises(self, params, monkeypatch):
+        asm, x, y, inside = _grid_nodes(SwapSpec(1.0, 4, 0.25, 0.0085), params, n=16)
+        monkeypatch.setattr(optional, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(RootNotBracketed):
+            _boundary_root(asm, x[inside], y[inside])
+
     def test_plug_back(self, params):
         swap = SwapSpec(0.5, 4, 0.25, 0.012)
         rb = swaption_region(-0.05, 0.01, swap, params, "case1")
@@ -167,6 +229,21 @@ class TestSwaptionRegion:
 
 
 class TestSwaptionPrice:
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2])
+    def test_against_z_quadrature_oracle(self, params, draw):
+        # README parameters and three random draws, 1-, 4- and 20-period
+        # at-the-money swaptions from 1 y
+        if draw is not None:
+            rng = np.random.default_rng(11)
+            for _ in range(draw + 1):
+                params = random_params(rng)
+        s = FactorState(0.0, params.psi0)
+        for n in (1, 4, 20):
+            swap = SwapSpec(1.0, n, 0.25, fair_swap_rate(s, SwapSpec(1.0, n, 0.25, 0.0), params))
+            spec = SwaptionSpec(swap)
+            assert swaption_price(spec, params) == pytest.approx(
+                swaption_z_quadrature(spec, params), rel=1e-7)
+
     def test_single_period_equals_caplet(self, params, state):
         r = fair_fra_rate(state, 1.0, 0.5, params)
         cap_px = caplet_price(CapletSpec(1.0, 0.5, r), params)
