@@ -18,14 +18,20 @@ Scenario layout::
       "outputs": ["prices", {"curve_dump": {"grid": [..], "delta": 0.25}}]
     }
 
-Product types: bond{T, curve}, fra{T, delta, R, notional},
+Product types (PRODUCTS): bond{T, curve}, fra{T, delta, R, notional},
 swap{T0, n, gamma, R, notional}, caplet/floorlet{T, delta, R, notional},
-swaption{T0, n, gamma, R, notional}, cap{T0, n, delta, R, notional}.
-Caplets, floorlets, caps and swaptions are priced from t = 0 and psi0, so a
-scenario holding one must leave "state" at that default.
+swaption{T0, n, gamma, R, notional}, cap{T0, n, delta, R, notional};
+notional defaults to 1.  Caplets, floorlets, caps and swaptions are priced
+from t = 0 and psi0, so a scenario holding one must leave "state" at that
+default.
 
-Unknown keys anywhere are an error.  Exit codes: 0 success, 2
-parse/validation error, 3 pricing error, 4 Monte Carlo bias failure.
+Input rules: unknown keys anywhere are an error; every number must be finite
+(JSON NaN and Infinity are refused); schema_version is the integer 1; a cap
+needs n >= 1 and delta > 0; the mc seed (and --seed) must be >= 0; quad
+needs truncation finite and > 0, rel_tol >= 0 and max_refinements >= 0; a
+curve_dump needs delta > 0 and grid points at or after state.t.  Exit codes:
+0 success, 2 parse/validation error, 3 pricing error, 4 Monte Carlo bias
+failure.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import linear, optional
 from .curves import libor_bond, ois_bond
@@ -45,7 +52,7 @@ from .errors import BiasDominates, TwoCurveError
 from .linear import FraSpec, SwapSpec
 from .model import FactorState, ModelParams, validate
 from .optional import CapletSpec, QuadratureConfig, SwaptionSpec
-from .oracle import McConfig, mc_bond, mc_price
+from .oracle import McConfig, McEstimate, mc_bond, mc_price
 
 __all__ = ["Scenario", "parse_scenario", "scenario_to_dict", "run", "main"]
 
@@ -59,6 +66,10 @@ class BondProduct:
     T: float
     curve: str
 
+    def __post_init__(self):
+        if self.curve not in ("OIS", "LIBOR"):
+            raise ValueError(f"curve must be 'OIS' or 'LIBOR', got {self.curve!r}")
+
 
 @dataclass(frozen=True)
 class CapProduct:
@@ -67,6 +78,12 @@ class CapProduct:
     delta: float
     R: float
     notional: float = 1.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.delta <= 0.0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
 
     def caplets(self):
         return [
@@ -77,20 +94,100 @@ class CapProduct:
 
 @dataclass(frozen=True)
 class CurveDump:
-    grid: tuple
+    grid: tuple[float, ...]
     delta: float
+
+    def __post_init__(self):
+        if self.delta <= 0.0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     params: ModelParams
     state: FactorState
-    products: tuple
+    products: tuple  # ((type, spec), ...), type a key of PRODUCTS
     mc: McConfig | None = None
     quad: QuadratureConfig = QuadratureConfig()
     want_prices: bool = True
     curve_dump: CurveDump | None = None
     warnings: tuple = field(default=())
+
+
+@dataclass(frozen=True)
+class ProductType:
+    """One row of PRODUCTS.  The fields of the `spec` dataclass are the
+    product's JSON keys, both ways.  price(spec, sc) and mc(spec, sc) value
+    it against Scenario sc; fair(spec, sc) is the spec at its model-implied
+    fair rate (None: there is no rate to solve); an option is priced from
+    t = 0 and params.psi0 only.  The pricers look up mc_price, mc_bond,
+    ois_bond and libor_bond in this module when they are called.
+    """
+
+    spec: type
+    price: Callable
+    mc: Callable
+    fair: Callable | None = None
+    option: bool = False
+
+
+def _at_fra_rate(spec, T: float, sc: Scenario):
+    return replace(spec, R=linear.fair_fra_rate(sc.state, T, spec.delta, sc.params))
+
+
+def _at_swap_rate(spec: SwapSpec, sc: Scenario) -> SwapSpec:
+    return replace(spec, R=linear.fair_swap_rate(sc.state, spec, sc.params))
+
+
+def _mc_cap(cap: CapProduct, sc: Scenario) -> McEstimate:
+    """Each caplet on its own substream, seed + k + 1; the means, variances
+    and bias proxies add."""
+    ests = [mc_price(sc.params, c, replace(sc.mc, seed=sc.mc.seed + k + 1))
+            for k, c in enumerate(cap.caplets())]
+    return McEstimate(sum(e.mean for e in ests),
+                      math.sqrt(sum(e.std_error ** 2 for e in ests)),
+                      min(e.n_paths for e in ests), sum(e.bias_proxy for e in ests))
+
+
+PRODUCTS = {
+    "bond": ProductType(
+        BondProduct,
+        price=lambda s, sc: (ois_bond if s.curve == "OIS" else libor_bond)(
+            sc.state, s.T, sc.params).value,
+        mc=lambda s, sc: mc_bond(sc.params, s.T, s.curve, sc.mc)),
+    "fra": ProductType(
+        FraSpec,
+        price=lambda s, sc: linear.fra_price(sc.state, s, sc.params),
+        mc=lambda s, sc: mc_price(sc.params, s, sc.mc),
+        fair=lambda s, sc: _at_fra_rate(s, s.T, sc)),
+    "swap": ProductType(
+        SwapSpec,
+        price=lambda s, sc: linear.swap_price(sc.state, s, sc.params),
+        mc=lambda s, sc: mc_price(sc.params, s, sc.mc),
+        fair=_at_swap_rate),
+    "caplet": ProductType(
+        CapletSpec,
+        price=lambda s, sc: optional.caplet_price(s, sc.params, sc.quad),
+        mc=lambda s, sc: mc_price(sc.params, s, sc.mc),
+        fair=lambda s, sc: _at_fra_rate(s, s.T, sc), option=True),
+    "floorlet": ProductType(
+        CapletSpec,
+        price=lambda s, sc: optional.floorlet_price(s, sc.params, sc.quad),
+        mc=lambda s, sc: mc_price(sc.params, s, sc.mc, floorlet=True),
+        fair=lambda s, sc: _at_fra_rate(s, s.T, sc), option=True),
+    # held as its underlying swap, whose fields it has
+    "swaption": ProductType(
+        SwapSpec,
+        price=lambda s, sc: optional.swaption_price(SwaptionSpec(s), sc.params, sc.quad),
+        mc=lambda s, sc: mc_price(sc.params, SwaptionSpec(s), sc.mc),
+        fair=_at_swap_rate, option=True),
+    "cap": ProductType(
+        CapProduct,
+        price=lambda s, sc: sum(optional.caplet_price(c, sc.params, sc.quad)
+                                for c in s.caplets()),
+        mc=_mc_cap,
+        fair=lambda s, sc: _at_fra_rate(s, s.T0, sc), option=True),
+}
 
 
 def _require_keys(obj: Any, allowed: set, required: set, where: str):
@@ -105,34 +202,70 @@ def _require_keys(obj: Any, allowed: set, required: set, where: str):
 
 
 def _number(v: Any, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        if not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
 
 
-def _num(obj: dict, key: str, where: str) -> float:
-    return _number(obj[key], f"{where}.{key}")
-
-
-def _int(obj: dict, key: str, where: str) -> int:
-    v = obj[key]
+def _integer(v: Any, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{where}.{key}: expected an integer, got {v!r}")
+        raise ScenarioError(f"{where}: expected an integer, got {v!r}")
     return v
 
 
-def _bool(obj: dict, key: str, where: str) -> bool:
-    v = obj[key]
+def _boolean(v: Any, where: str) -> bool:
     if not isinstance(v, bool):
-        raise ScenarioError(f"{where}.{key}: expected true or false, got {v!r}")
+        raise ScenarioError(f"{where}: expected true or false, got {v!r}")
     return v
 
 
-def _vec3(obj: dict, key: str, where: str) -> tuple:
-    v = obj[key]
-    if not isinstance(v, list) or len(v) != 3:
-        raise ScenarioError(f"{where}.{key}: expected a list of 3 numbers")
-    return tuple(_number(x, f"{where}.{key}[{j}]") for j, x in enumerate(v))
+def _text(v: Any, where: str) -> str:
+    if not isinstance(v, str):
+        raise ScenarioError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
+def _numbers(v: Any, where: str, size: int | None = None) -> tuple:
+    if not isinstance(v, list) or not v or (size is not None and len(v) != size):
+        raise ScenarioError(f"{where}: expected a list of {size or 'one or more'} numbers")
+    return tuple(_number(x, f"{where}[{j}]") for j, x in enumerate(v))
+
+
+# value parser by field annotation; the dataclasses a scenario fills are
+# declared under postponed evaluation, so their annotations are strings
+_PARSE = {
+    "float": _number,
+    "int": _integer,
+    "bool": _boolean,
+    "str": _text,
+    "tuple[float, float, float]": partial(_numbers, size=3),
+    "tuple[float, ...]": _numbers,
+}
+
+
+def _build(cls, obj: Any, where: str, **defaults):
+    """Dataclass cls from the JSON object obj.  The keys are cls's fields,
+    each value parsed by its annotation; a field is required unless cls or
+    `defaults` gives it a default.  Errors name where.field, or where when
+    cls itself rejects the values."""
+    types = {f.name: f.type for f in fields(cls)}
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.name not in defaults}
+    _require_keys(obj, set(types), required, where)
+    values = {k: _PARSE[types[k]](v, f"{where}.{k}") for k, v in obj.items()}
+    try:
+        return cls(**{**defaults, **values})
+    except (TwoCurveError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _to_json(obj) -> dict:
+    """The fields of a dataclass as a JSON object, tuples as lists."""
+    return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+            for f in fields(obj)}
 
 
 def _parse_product(obj: Any, idx: int):
@@ -140,44 +273,10 @@ def _parse_product(obj: Any, idx: int):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ScenarioError(f"{where}: expected an object with a 'type' key")
     kind = obj["type"]
-    try:
-        if kind == "bond":
-            _require_keys(obj, {"type", "T", "curve"}, {"T", "curve"}, where)
-            curve = obj["curve"]
-            if curve not in ("OIS", "LIBOR"):
-                raise ScenarioError(f"{where}.curve: must be 'OIS' or 'LIBOR'")
-            return BondProduct(_num(obj, "T", where), curve)
-        if kind == "fra":
-            _require_keys(obj, {"type", "T", "delta", "R", "notional"},
-                          {"T", "delta", "R"}, where)
-            return FraSpec(_num(obj, "T", where), _num(obj, "delta", where),
-                           _num(obj, "R", where),
-                           _num(obj, "notional", where) if "notional" in obj else 1.0)
-        if kind in ("swap", "swaption"):
-            _require_keys(obj, {"type", "T0", "n", "gamma", "R", "notional"},
-                          {"T0", "n", "gamma", "R"}, where)
-            swap = SwapSpec(_num(obj, "T0", where), _int(obj, "n", where),
-                            _num(obj, "gamma", where), _num(obj, "R", where),
-                            _num(obj, "notional", where) if "notional" in obj else 1.0)
-            return swap if kind == "swap" else SwaptionSpec(swap)
-        if kind in ("caplet", "floorlet"):
-            _require_keys(obj, {"type", "T", "delta", "R", "notional"},
-                          {"T", "delta", "R"}, where)
-            spec = CapletSpec(_num(obj, "T", where), _num(obj, "delta", where),
-                              _num(obj, "R", where),
-                              _num(obj, "notional", where) if "notional" in obj else 1.0)
-            return spec if kind == "caplet" else ("floorlet", spec)
-        if kind == "cap":
-            _require_keys(obj, {"type", "T0", "n", "delta", "R", "notional"},
-                          {"T0", "n", "delta", "R"}, where)
-            return CapProduct(_num(obj, "T0", where), _int(obj, "n", where),
-                              _num(obj, "delta", where), _num(obj, "R", where),
-                              _num(obj, "notional", where) if "notional" in obj else 1.0)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}.type: unknown product type {kind!r}")
+    if not isinstance(kind, str) or kind not in PRODUCTS:
+        raise ScenarioError(f"{where}.type: unknown product type {kind!r}")
+    body = {k: v for k, v in obj.items() if k != "type"}
+    return kind, _build(PRODUCTS[kind].spec, body, where)
 
 
 def parse_scenario(doc: Any) -> Scenario:
@@ -185,76 +284,32 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioError("scenario: expected a JSON object")
     _require_keys(doc, {"schema_version", "params", "state", "products", "mc",
                         "quad", "outputs"}, {"schema_version", "params"}, "scenario")
-    if doc["schema_version"] != 1:
-        raise ScenarioError("scenario.schema_version: only version 1 is supported")
+    version = doc["schema_version"]
+    if type(version) is not int or version != 1:
+        raise ScenarioError(
+            f"scenario.schema_version: only the integer 1 is supported, got {version!r}")
 
-    p = doc["params"]
-    _require_keys(p, {"b1", "b2", "b3", "sigma1", "sigma2", "sigma3", "kappa", "psi0"},
-                  {"b1", "b2", "b3", "sigma1", "sigma2", "sigma3"}, "params")
-    fields = {name: _num(p, name, "params")
-              for name in ("b1", "b2", "b3", "sigma1", "sigma2", "sigma3")}
-    fields["kappa"] = _num(p, "kappa", "params") if "kappa" in p else 0.0
-    fields["psi0"] = _vec3(p, "psi0", "params") if "psi0" in p else (0.0, 0.0, 0.0)
+    params = _build(ModelParams, doc["params"], "params")
     try:
-        params = ModelParams(**fields)
         report = validate(params)
-    except (TwoCurveError, ValueError) as exc:
+    except TwoCurveError as exc:
         raise ScenarioError(f"params: {exc}") from exc
-
-    if "state" in doc:
-        s = doc["state"]
-        _require_keys(s, {"t", "psi"}, set(), "state")
-        t = _num(s, "t", "state") if "t" in s else 0.0
-        psi = _vec3(s, "psi", "state") if "psi" in s else params.psi0
-        try:
-            state = FactorState(t, psi)
-        except ValueError as exc:
-            raise ScenarioError(f"state: {exc}") from exc
-    else:
-        state = FactorState(0.0, params.psi0)
+    state = _build(FactorState, doc.get("state", {}), "state", t=0.0, psi=params.psi0)
 
     raw_products = doc.get("products", [])
     if not isinstance(raw_products, list):
         raise ScenarioError(f"products: expected a list, got {raw_products!r}")
     products = tuple(_parse_product(o, i) for i, o in enumerate(raw_products))
-    # the option pricers value from t = 0 and params.psi0 only
     if state != FactorState(0.0, params.psi0):
-        for i, prod in enumerate(products):
-            if isinstance(prod, (CapletSpec, SwaptionSpec, CapProduct, tuple)):
+        for i, (kind, _) in enumerate(products):
+            if PRODUCTS[kind].option:
                 name = "state.t" if state.t != 0.0 else "state.psi"
                 raise ScenarioError(
-                    f"{name}: products[{i}] is a {_product_label(prod)}, which is priced "
+                    f"{name}: products[{i}] is a {kind}, which is priced "
                     "from t = 0 and params.psi0; drop the state or set it to that")
 
-    mc = None
-    if "mc" in doc:
-        m = doc["mc"]
-        _require_keys(m, {"n_paths", "steps_per_year", "seed", "antithetic"},
-                      set(), "mc")
-        try:
-            mc = McConfig(
-                n_paths=_int(m, "n_paths", "mc") if "n_paths" in m else 100_000,
-                steps_per_year=_int(m, "steps_per_year", "mc") if "steps_per_year" in m else 512,
-                seed=_int(m, "seed", "mc") if "seed" in m else 0,
-                antithetic=_bool(m, "antithetic", "mc") if "antithetic" in m else True,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"mc: {exc}") from exc
-
-    quad = QuadratureConfig()
-    if "quad" in doc:
-        q = doc["quad"]
-        _require_keys(q, {"n_nodes_per_axis", "truncation", "rel_tol",
-                          "max_refinements"}, set(), "quad")
-        try:
-            quad = QuadratureConfig(
-                n_nodes_per_axis=_int(q, "n_nodes_per_axis", "quad") if "n_nodes_per_axis" in q else 128,
-                truncation=_num(q, "truncation", "quad") if "truncation" in q else 8.0,
-                rel_tol=_num(q, "rel_tol", "quad") if "rel_tol" in q else 1e-7,
-                max_refinements=_int(q, "max_refinements", "quad") if "max_refinements" in q else 3,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"quad: {exc}") from exc
+    mc = _build(McConfig, doc["mc"], "mc") if "mc" in doc else None
+    quad = _build(QuadratureConfig, doc.get("quad", {}), "quad")
 
     want_prices = False
     curve_dump = None
@@ -265,15 +320,11 @@ def parse_scenario(doc: Any) -> Scenario:
         if out == "prices":
             want_prices = True
         elif isinstance(out, dict) and set(out) == {"curve_dump"}:
-            cd = out["curve_dump"]
-            _require_keys(cd, {"grid", "delta"}, {"grid", "delta"},
-                          f"outputs[{i}].curve_dump")
-            grid = cd["grid"]
-            if not isinstance(grid, list) or not grid:
-                raise ScenarioError(f"outputs[{i}].curve_dump.grid: expected a non-empty list")
-            curve_dump = CurveDump(tuple(_number(x, f"outputs[{i}].curve_dump.grid[{j}]")
-                                         for j, x in enumerate(grid)),
-                                   _num(cd, "delta", f"outputs[{i}].curve_dump"))
+            where = f"outputs[{i}].curve_dump"
+            curve_dump = _build(CurveDump, out["curve_dump"], where)
+            for j, T in enumerate(curve_dump.grid):
+                if T < state.t:
+                    raise ScenarioError(f"{where}.grid[{j}]: {T} is before state.t = {state.t}")
         else:
             raise ScenarioError(f"outputs[{i}]: unknown output request {out!r}")
 
@@ -290,54 +341,16 @@ def scenario_to_dict(sc: Scenario) -> dict:
     reproduces an identical Scenario."""
     doc: dict = {
         "schema_version": 1,
-        "params": {
-            "b1": sc.params.b1, "b2": sc.params.b2, "b3": sc.params.b3,
-            "sigma1": sc.params.sigma1, "sigma2": sc.params.sigma2,
-            "sigma3": sc.params.sigma3, "kappa": sc.params.kappa,
-            "psi0": list(sc.params.psi0),
-        },
-        "state": {"t": sc.state.t, "psi": list(sc.state.psi)},
-        "products": [],
+        "params": _to_json(sc.params),
+        "state": _to_json(sc.state),
+        "products": [{"type": kind, **_to_json(spec)} for kind, spec in sc.products],
     }
-    for prod in sc.products:
-        if isinstance(prod, BondProduct):
-            doc["products"].append({"type": "bond", "T": prod.T, "curve": prod.curve})
-        elif isinstance(prod, FraSpec):
-            doc["products"].append({"type": "fra", "T": prod.T, "delta": prod.delta,
-                                    "R": prod.R, "notional": prod.notional})
-        elif isinstance(prod, SwapSpec):
-            doc["products"].append({"type": "swap", "T0": prod.T0, "n": prod.n,
-                                    "gamma": prod.gamma, "R": prod.R,
-                                    "notional": prod.notional})
-        elif isinstance(prod, SwaptionSpec):
-            sw = prod.swap
-            doc["products"].append({"type": "swaption", "T0": sw.T0, "n": sw.n,
-                                    "gamma": sw.gamma, "R": sw.R,
-                                    "notional": sw.notional})
-        elif isinstance(prod, CapletSpec):
-            doc["products"].append({"type": "caplet", "T": prod.T, "delta": prod.delta,
-                                    "R": prod.R, "notional": prod.notional})
-        elif isinstance(prod, tuple) and prod[0] == "floorlet":
-            c = prod[1]
-            doc["products"].append({"type": "floorlet", "T": c.T, "delta": c.delta,
-                                    "R": c.R, "notional": c.notional})
-        elif isinstance(prod, CapProduct):
-            doc["products"].append({"type": "cap", "T0": prod.T0, "n": prod.n,
-                                    "delta": prod.delta, "R": prod.R,
-                                    "notional": prod.notional})
     if sc.mc is not None:
-        doc["mc"] = {"n_paths": sc.mc.n_paths, "steps_per_year": sc.mc.steps_per_year,
-                     "seed": sc.mc.seed, "antithetic": sc.mc.antithetic}
-    doc["quad"] = {"n_nodes_per_axis": sc.quad.n_nodes_per_axis,
-                   "truncation": sc.quad.truncation, "rel_tol": sc.quad.rel_tol,
-                   "max_refinements": sc.quad.max_refinements}
-    outputs: list = []
-    if sc.want_prices:
-        outputs.append("prices")
+        doc["mc"] = _to_json(sc.mc)
+    doc["quad"] = _to_json(sc.quad)
+    doc["outputs"] = ["prices"] if sc.want_prices else []
     if sc.curve_dump is not None:
-        outputs.append({"curve_dump": {"grid": list(sc.curve_dump.grid),
-                                       "delta": sc.curve_dump.delta}})
-    doc["outputs"] = outputs
+        doc["outputs"].append({"curve_dump": _to_json(sc.curve_dump)})
     return doc
 
 
@@ -349,90 +362,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _solve_fair(prod, state, params):
-    """Replace the fixed rate of a product by its model-implied fair rate."""
-    if isinstance(prod, FraSpec):
-        r = linear.fair_fra_rate(state, prod.T, prod.delta, params)
-        return FraSpec(prod.T, prod.delta, r, prod.notional)
-    if isinstance(prod, SwapSpec):
-        r = linear.fair_swap_rate(state, prod, params)
-        return SwapSpec(prod.T0, prod.n, prod.gamma, r, prod.notional)
-    if isinstance(prod, SwaptionSpec):
-        sw = prod.swap
-        r = linear.fair_swap_rate(state, sw, params)
-        return SwaptionSpec(SwapSpec(sw.T0, sw.n, sw.gamma, r, sw.notional))
-    if isinstance(prod, CapletSpec):
-        r = linear.fair_fra_rate(state, prod.T, prod.delta, params)
-        return CapletSpec(prod.T, prod.delta, r, prod.notional)
-    if isinstance(prod, tuple) and prod[0] == "floorlet":
-        return ("floorlet", _solve_fair(prod[1], state, params))
-    if isinstance(prod, CapProduct):
-        r = linear.fair_fra_rate(state, prod.T0, prod.delta, params)
-        return CapProduct(prod.T0, prod.n, prod.delta, r, prod.notional)
-    return prod
+def _price_product(prod, sc: Scenario) -> float:
+    kind, spec = prod
+    return PRODUCTS[kind].price(spec, sc)
 
 
-def _price_product(prod, sc: Scenario):
-    state, params, quad = sc.state, sc.params, sc.quad
-    if isinstance(prod, BondProduct):
-        fn = ois_bond if prod.curve == "OIS" else libor_bond
-        return fn(state, prod.T, params).value
-    if isinstance(prod, FraSpec):
-        return linear.fra_price(state, prod, params)
-    if isinstance(prod, SwapSpec):
-        return linear.swap_price(state, prod, params)
-    if isinstance(prod, CapletSpec):
-        return optional.caplet_price(prod, params, quad)
-    if isinstance(prod, tuple) and prod[0] == "floorlet":
-        return optional.floorlet_price(prod[1], params, quad)
-    if isinstance(prod, SwaptionSpec):
-        return optional.swaption_price(prod, params, quad)
-    if isinstance(prod, CapProduct):
-        return sum(optional.caplet_price(c, params, quad) for c in prod.caplets())
-    raise TypeError(f"unsupported product {prod!r}")
-
-
-def _mc_product(prod, sc: Scenario):
-    params, mc = sc.params, sc.mc
-    if isinstance(prod, BondProduct):
-        return mc_bond(params, prod.T, prod.curve, mc)
-    if isinstance(prod, tuple) and prod[0] == "floorlet":
-        return mc_price(params, prod[1], mc, floorlet=True)
-    if isinstance(prod, CapProduct):
-        # price each caplet with an independent substream and combine
-        mean = var = 0.0
-        bias = 0.0
-        n_min = None
-        for k, c in enumerate(prod.caplets()):
-            cfg = McConfig(mc.n_paths, mc.steps_per_year, mc.seed + k + 1,
-                           mc.antithetic)
-            e = mc_price(params, c, cfg)
-            mean += e.mean
-            var += e.std_error ** 2
-            bias += e.bias_proxy
-            n_min = e.n_paths if n_min is None else min(n_min, e.n_paths)
-        from .oracle import McEstimate
-
-        return McEstimate(mean, math.sqrt(var), n_min, bias)
-    return mc_price(params, prod, mc)
-
-
-def _product_label(prod) -> str:
-    if isinstance(prod, BondProduct):
-        return "bond"
-    if isinstance(prod, FraSpec):
-        return "fra"
-    if isinstance(prod, SwapSpec):
-        return "swap"
-    if isinstance(prod, CapletSpec):
-        return "caplet"
-    if isinstance(prod, tuple):
-        return "floorlet"
-    if isinstance(prod, SwaptionSpec):
-        return "swaption"
-    if isinstance(prod, CapProduct):
-        return "cap"
-    return type(prod).__name__
+def _mc_product(prod, sc: Scenario) -> McEstimate:
+    kind, spec = prod
+    return PRODUCTS[kind].mc(spec, sc)
 
 
 def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
@@ -444,7 +381,7 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
@@ -455,12 +392,11 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
 
     if seed is not None or (force_mc and sc.mc is None):
         base = sc.mc or McConfig()
-        sc = Scenario(sc.params, sc.state, sc.products,
-                      McConfig(base.n_paths, base.steps_per_year,
-                               seed if seed is not None else base.seed,
-                               base.antithetic),
-                      sc.quad, sc.want_prices, sc.curve_dump, sc.warnings)
-    use_mc = force_mc or sc.mc is not None
+        try:
+            sc = replace(sc, mc=replace(base, seed=base.seed if seed is None else seed))
+        except ValueError as exc:
+            print(f"error: --seed: {exc}", file=sys.stderr)
+            return 2
 
     for w in sc.warnings:
         print(f"warning: {w}")
@@ -468,25 +404,43 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for idx, raw in enumerate(sc.products):
-        prod = _solve_fair(raw, sc.state, sc.params) if solve_fair_rate else raw
+    for idx, (kind, spec) in enumerate(sc.products):
         try:
-            price = _price_product(prod, sc)
-            est = _mc_product(prod, sc) if use_mc else None
+            if solve_fair_rate and PRODUCTS[kind].fair is not None:
+                spec = PRODUCTS[kind].fair(spec, sc)
+            price = _price_product((kind, spec), sc)
+            est = _mc_product((kind, spec), sc) if sc.mc is not None else None
         except BiasDominates as exc:
-            print(f"error: product {idx} ({_product_label(prod)}): {exc}",
-                  file=sys.stderr)
+            print(f"error: product {idx} ({kind}): {exc}", file=sys.stderr)
             return 4
         except TwoCurveError as exc:
-            print(f"error: product {idx} ({_product_label(prod)}): "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            print(f"error: product {idx} ({kind}): {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             return 3
         z = None
         if est is not None:
             z = (price - est.mean) / est.std_error if est.std_error > 0 else 0.0
-        rows.append((idx, _product_label(prod), price,
+        rows.append((idx, kind, price,
                      est.mean if est else None,
                      est.std_error if est else None, z))
+
+    curve_rows = []
+    if sc.curve_dump is not None:
+        cd, state = sc.curve_dump, sc.state
+        try:
+            for T in cd.grid:
+                p = ois_bond(state, T, sc.params).value
+                pb = libor_bond(state, T, sc.params).value
+                v = linear.v_single(state, T, cd.delta, sc.params)
+                vb = linear.v_multi(state, T, cd.delta, sc.params)
+                curve_rows.append((
+                    T, p, pb, (v - 1.0) / cd.delta, (vb - 1.0) / cd.delta,
+                    linear.adjustment(state, T, cd.delta, sc.params),
+                    linear.residual(state.t, T, cd.delta, sc.params)))
+        except TwoCurveError as exc:
+            print(f"error: curve_dump at T={T}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 3
 
     if sc.want_prices and rows:
         with open(out / "prices.csv", "w", newline="") as fh:
@@ -497,21 +451,12 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
                 w.writerow([_fmt(v) for v in row])
 
     if sc.curve_dump is not None:
-        cd = sc.curve_dump
-        state = sc.state
         with open(out / "curves.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["T", "p_ois", "p_libor", "fra_rate_single",
                         "fra_rate_multi", "adjustment", "residual"])
-            for T in cd.grid:
-                p = ois_bond(state, T, sc.params).value
-                pb = libor_bond(state, T, sc.params).value
-                v = linear.v_single(state, T, cd.delta, sc.params)
-                vb = linear.v_multi(state, T, cd.delta, sc.params)
-                w.writerow([_fmt(x) for x in (
-                    T, p, pb, (v - 1.0) / cd.delta, (vb - 1.0) / cd.delta,
-                    linear.adjustment(state, T, cd.delta, sc.params),
-                    linear.residual(state.t, T, cd.delta, sc.params))])
+            for row in curve_rows:
+                w.writerow([_fmt(x) for x in row])
 
     for idx, label, price, mc_mean, mc_se, z in rows:
         line = f"[{idx}] {label}: price={price:.10g}"

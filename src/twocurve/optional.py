@@ -106,6 +106,12 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.n_nodes_per_axis < 16:
             raise ValueError("n_nodes_per_axis must be >= 16")
+        if not 0.0 < self.truncation < math.inf:
+            raise ValueError(f"truncation must be finite and > 0, got {self.truncation}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if self.max_refinements < 0:
+            raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ class McConfig:
         s = self.steps_per_year
         if s < 1 or (s & (s - 1)) != 0:
             raise ValueError("steps_per_year must be a positive power of two")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,18 @@ def _block_normals(seed: int, block_index: int, n: int, n_steps: int) -> np.ndar
     return rng.standard_normal((3, n, n_steps))
 
 
+def _blocks(config: McConfig, n_steps: int):
+    """The standard normals of every block, in block order, each block from
+    its own substream of config.seed: shape (3, n, n_steps) with n paths,
+    or n antithetic pairs."""
+    if config.antithetic:
+        n_pairs_total, per_block = (config.n_paths + 1) // 2, _BLOCK // 2
+    else:
+        n_pairs_total, per_block = config.n_paths, _BLOCK
+    for block, start in enumerate(range(0, n_pairs_total, per_block)):
+        yield _block_normals(config.seed, block, min(per_block, n_pairs_total - start), n_steps)
+
+
 def _run(
     params: ModelParams,
     times: np.ndarray,
@@ -129,21 +143,10 @@ def _run(
 
     payoff(times, psi) -> per-path values; psi has shape (3, n, len(times)).
     """
-    n_steps = times.size - 1
     coarse = times[::2]
-    if config.antithetic:
-        n_pairs_total = (config.n_paths + 1) // 2
-        per_block = _BLOCK // 2
-    else:
-        n_pairs_total = config.n_paths
-        per_block = _BLOCK
     n_samples = 0
     s1 = s2 = sc = 0.0
-    block = 0
-    remaining = n_pairs_total
-    while remaining > 0:
-        n = min(per_block, remaining)
-        z = _block_normals(config.seed, block, n, n_steps)
+    for z in _blocks(config, times.size - 1):
         psi = _paths_from_normals(z, times, params)
         vals = payoff(times, psi)
         vals_c = payoff(coarse, psi[:, :, ::2])
@@ -154,9 +157,7 @@ def _run(
         s1 += float(np.sum(vals))
         s2 += float(np.sum(vals * vals))
         sc += float(np.sum(vals_c))
-        n_samples += n
-        remaining -= n
-        block += 1
+        n_samples += z.shape[1]
     mean = s1 / n_samples
     var = max(0.0, s2 / n_samples - mean * mean)
     se = math.sqrt(var / n_samples)
@@ -182,24 +183,11 @@ def simulate_paths(params: ModelParams, horizon: float, config: McConfig):
     blocks instead and never materialize the ensemble.
     """
     times = _make_grid([horizon], config.steps_per_year)
-    n_steps = times.size - 1
-    if config.antithetic:
-        n_pairs_total = (config.n_paths + 1) // 2
-        per_block = _BLOCK // 2
-    else:
-        n_pairs_total = config.n_paths
-        per_block = _BLOCK
     chunks = []
-    block = 0
-    remaining = n_pairs_total
-    while remaining > 0:
-        n = min(per_block, remaining)
-        z = _block_normals(config.seed, block, n, n_steps)
+    for z in _blocks(config, times.size - 1):
         chunks.append(_paths_from_normals(z, times, params))
         if config.antithetic:
             chunks.append(_paths_from_normals(-z, times, params))
-        remaining -= n
-        block += 1
     return times, np.concatenate(chunks, axis=1)
 
 

@@ -1,10 +1,21 @@
+import copy
 import csv
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twocurve.cli import ScenarioError, main, parse_scenario, run, scenario_to_dict
+from twocurve import linear, optional
+from twocurve.cli import (CapProduct, ScenarioError, main, parse_scenario, run,
+                          scenario_to_dict)
+from twocurve.curves import libor_bond, ois_bond
+from twocurve.linear import FraSpec, SwapSpec
+from twocurve.model import FactorState, ModelParams
+from twocurve.optional import CapletSpec, QuadratureConfig, SwaptionSpec
+from twocurve.oracle import McConfig
 
 PARAMS = {
     "b1": 0.5, "b2": 0.3, "b3": 0.4,
@@ -202,3 +213,211 @@ def test_option_products_reject_a_non_default_state(tmp_path, capsys, kind):
     assert parse_scenario(doc).state.psi == tuple(PARAMS["psi0"])
     assert run(_write(tmp_path, _scenario([fra], state={"psi": [0.02, 0.05, 0.05]})),
                str(tmp_path)) == 0
+
+
+MODEL = ModelParams(**{k: v for k, v in PARAMS.items() if k != "psi0"},
+                    psi0=tuple(PARAMS["psi0"]))
+STATE0 = FactorState(0.0, MODEL.psi0)
+
+# (scenario product, its price at fixed rate R by a direct library call, its
+# fair rate by a direct library call or None)
+LIBRARY_CASES = [
+    pytest.param({"type": "bond", "T": 2.0, "curve": "OIS"},
+                 lambda R: ois_bond(STATE0, 2.0, MODEL).value, None, id="bond-OIS"),
+    pytest.param({"type": "bond", "T": 3.0, "curve": "LIBOR"},
+                 lambda R: libor_bond(STATE0, 3.0, MODEL).value, None, id="bond-LIBOR"),
+    pytest.param({"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01, "notional": 2.5},
+                 lambda R: linear.fra_price(STATE0, FraSpec(1.0, 0.5, R, 2.5), MODEL),
+                 lambda: linear.fair_fra_rate(STATE0, 1.0, 0.5, MODEL), id="fra"),
+    pytest.param({"type": "swap", "T0": 0.5, "n": 4, "gamma": 0.25, "R": 0.01},
+                 lambda R: linear.swap_price(STATE0, SwapSpec(0.5, 4, 0.25, R), MODEL),
+                 lambda: linear.fair_swap_rate(STATE0, SwapSpec(0.5, 4, 0.25, 0.01), MODEL),
+                 id="swap"),
+    pytest.param({"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012},
+                 lambda R: optional.caplet_price(CapletSpec(1.0, 0.5, R), MODEL),
+                 lambda: linear.fair_fra_rate(STATE0, 1.0, 0.5, MODEL), id="caplet"),
+    pytest.param({"type": "floorlet", "T": 1.5, "delta": 0.5, "R": 0.03, "notional": 3},
+                 lambda R: optional.floorlet_price(CapletSpec(1.5, 0.5, R, 3.0), MODEL),
+                 lambda: linear.fair_fra_rate(STATE0, 1.5, 0.5, MODEL), id="floorlet"),
+    pytest.param({"type": "swaption", "T0": 0.5, "n": 4, "gamma": 0.25, "R": 0.01},
+                 lambda R: optional.swaption_price(SwaptionSpec(SwapSpec(0.5, 4, 0.25, R)), MODEL),
+                 lambda: linear.fair_swap_rate(STATE0, SwapSpec(0.5, 4, 0.25, 0.01), MODEL),
+                 id="swaption"),
+    pytest.param({"type": "cap", "T0": 0.5, "n": 3, "delta": 0.5, "R": 0.012},
+                 lambda R: sum(optional.caplet_price(CapletSpec(0.5 + 0.5 * k, 0.5, R), MODEL)
+                               for k in range(3)),
+                 lambda: linear.fair_fra_rate(STATE0, 0.5, 0.5, MODEL), id="cap"),
+]
+
+
+@pytest.mark.parametrize("solve", [False, True], ids=["fixed-rate", "fair-rate"])
+@pytest.mark.parametrize("prod, direct, fair", LIBRARY_CASES)
+def test_every_product_type_prices_as_the_library(tmp_path, prod, direct, fair, solve):
+    assert run(_write(tmp_path, _scenario([prod])), str(tmp_path), solve_fair_rate=solve) == 0
+    with open(tmp_path / "prices.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["type"] == prod["type"]
+    rate = fair() if solve and fair is not None else prod.get("R")
+    assert float(row["analytic_price"]) == direct(rate)
+
+
+@pytest.mark.parametrize("field, value", [("R", math.nan), ("notional", math.inf),
+                                          ("T", -math.inf), ("delta", 10 ** 400)])
+def test_non_finite_numbers_rejected(tmp_path, capsys, field, value):
+    prod = {"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01, field: value}
+    assert run(_write(tmp_path, _scenario([prod])), str(tmp_path)) == 2
+    assert f"products[0].{field}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_must_be_the_integer_one(tmp_path, capsys, version):
+    doc = _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}])
+    doc["schema_version"] = version
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "schema_version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("delta", -0.5), ("delta", 0.0), ("n", 0), ("n", -2)])
+def test_cap_needs_a_caplet_and_a_positive_accrual(tmp_path, capsys, field, value):
+    fields = {"T0": 0.5, "n": 3, "delta": 0.5, "R": 0.012, field: value}
+    assert run(_write(tmp_path, _scenario([{"type": "cap", **fields}])), str(tmp_path)) == 2
+    assert f"products[0]: {field} must be" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        CapProduct(**fields)
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    doc = _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}],
+                    mc={"n_paths": 1000, "steps_per_year": 32, "seed": -1})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "mc: seed must be >= 0" in capsys.readouterr().err
+    doc["mc"]["seed"] = 1
+    path = _write(tmp_path, doc)
+    assert run(path, str(tmp_path), seed=-1) == 2
+    assert "--seed" in capsys.readouterr().err
+    del doc["mc"]
+    path = _write(tmp_path, doc)
+    assert main(["--scenario", path, "--out-dir", str(tmp_path), "--mc", "--seed", "-1"]) == 2
+    assert not (tmp_path / "prices.csv").exists()
+    with pytest.raises(ValueError):
+        McConfig(seed=-1)
+
+
+@pytest.mark.parametrize("dump, field", [
+    ({"grid": [1.0], "delta": 0.0}, "outputs[0].curve_dump: delta"),
+    ({"grid": [1.0], "delta": -0.25}, "outputs[0].curve_dump: delta"),
+    ({"grid": [0.5, 0.1], "delta": 0.25}, "outputs[0].curve_dump.grid[1]"),
+    ({"grid": [math.nan], "delta": 0.25}, "outputs[0].curve_dump.grid[0]"),
+    ({"grid": [1.0], "delta": math.inf}, "outputs[0].curve_dump.delta"),
+])
+def test_curve_dump_inputs_validated(tmp_path, capsys, dump, field):
+    # state.t = 0.25, so grid point 0.1 lies before the valuation time
+    doc = _scenario([], state={"t": 0.25}, outputs=[{"curve_dump": dump}])
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_curve_dump_pricing_error_exit_code(tmp_path, capsys):
+    # the spread-factor expectation of the Libor FRA rate diverges at T = 5
+    doc = _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}],
+                    outputs=["prices", {"curve_dump": {"grid": [0.5, 5.0], "delta": 1.0}}])
+    doc["params"].update(b3=0.05, sigma3=0.6)
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 3
+    assert "curve_dump at T=5.0: MomentExplosion" in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("truncation", 0.0), ("truncation", -1.0), ("truncation", math.nan),
+    ("truncation", math.inf), ("rel_tol", -1e-7), ("rel_tol", math.nan),
+    ("max_refinements", -1),
+])
+def test_quadrature_config_rejects_values_that_misprice(tmp_path, capsys, field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: value})
+    doc = _scenario([{"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012}],
+                    quad={field: value})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "quad" in err and field in err
+
+
+def test_solve_fair_rate_pricing_error_exit_code(tmp_path, capsys):
+    # the fair rate of a FRA fixing before the scenario's valuation time
+    doc = _scenario([{"type": "fra", "T": 0.5, "delta": 0.5, "R": 0.01}], state={"t": 1.0})
+    assert run(_write(tmp_path, doc), str(tmp_path), solve_fair_rate=True) == 3
+    assert "product 0 (fra): InvalidTimeOrder" in capsys.readouterr().err
+
+
+def test_unhashable_type_and_undecodable_file_rejected(tmp_path, capsys):
+    doc = _scenario([{"type": ["bond"], "T": 1.0, "curve": "OIS"}])
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "products[0].type" in capsys.readouterr().err
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": 1, "x": "\xff"}')
+    assert run(str(path), str(tmp_path)) == 2
+
+
+# Values a mutated field takes: non-finite, negative, zero, small, wrongly
+# typed.  Integers stay small, so no example prices with many periods, nodes
+# or paths.
+BAD_VALUES = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 2, True, False, "x",
+              [], [1.0], {}, None]
+FUZZ_PRODUCTS = [
+    {"type": "bond", "T": 1.0, "curve": "LIBOR"},
+    {"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01, "notional": 2.0},
+    {"type": "swap", "T0": 0.5, "n": 2, "gamma": 0.25, "R": 0.01},
+    {"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012},
+    {"type": "floorlet", "T": 1.0, "delta": 0.5, "R": 0.012},
+    {"type": "swaption", "T0": 0.5, "n": 2, "gamma": 0.25, "R": 0.01},
+    {"type": "cap", "T0": 0.5, "n": 2, "delta": 0.5, "R": 0.012},
+]
+
+
+def _key_paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = _scenario([dict(p) for p in draw(st.lists(st.sampled_from(FUZZ_PRODUCTS), max_size=3))],
+                    quad={"n_nodes_per_axis": 16, "rel_tol": 1e-3, "max_refinements": 1})
+    doc["params"]["psi0"] = list(PARAMS["psi0"])
+    if draw(st.booleans()):
+        doc["mc"] = {"n_paths": 1000, "steps_per_year": 8, "seed": 3}
+    if draw(st.booleans()):
+        doc["state"] = {"t": 0.0, "psi": list(PARAMS["psi0"])}
+    if draw(st.booleans()):
+        doc["outputs"] = ["prices", {"curve_dump": {"grid": [0.5, 2.0], "delta": 0.25}}]
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_key_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent, dict):
+            parent["extra"] = 1
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    if isinstance(doc.get("mc"), dict):
+        # not the default 100 000 paths at 512 steps a year
+        doc["mc"].setdefault("n_paths", 1000)
+        doc["mc"].setdefault("steps_per_year", 8)
+    return doc
+
+
+# a valid seed override without an mc section would simulate the default
+# 100 000 paths at 512 steps a year
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated_scenarios(), solve=st.booleans(), seed=st.sampled_from([None, -1]))
+def test_any_scenario_document_ends_in_an_exit_code(doc, solve, seed):
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/scenario.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run(path, out, seed=seed, solve_fair_rate=solve) in (0, 2, 3, 4)

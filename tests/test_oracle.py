@@ -25,6 +25,7 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
+from twocurve.oracle import _run
 
 CFG = McConfig(n_paths=40_000, steps_per_year=64, seed=12345)
 
@@ -141,3 +142,26 @@ def test_config_validation():
         McConfig(n_paths=10)
     with pytest.raises(ValueError):
         McConfig(steps_per_year=48)  # not a power of two
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimates_reduce_the_simulated_paths_block_by_block(params, antithetic):
+    # the estimators and simulate_paths draw the same blocks: 5000 paths are
+    # blocks of 4096 + 904 paths, or 2048 + 452 antithetic pairs, each pair
+    # block followed by its mirror in the ensemble
+    cfg = McConfig(n_paths=5000, steps_per_year=16, seed=21, antithetic=antithetic)
+    times, psi = simulate_paths(params, 1.0, cfg)
+    est = _run(params, times, cfg, lambda ts, p: p[0, :, -1])
+    x = psi[0, :, -1]
+    s1, start = 0.0, 0
+    for n in ([2048, 452] if antithetic else [4096, 904]):
+        if antithetic:
+            vals = 0.5 * (x[start:start + n] + x[start + n:start + 2 * n])
+            start += 2 * n
+        else:
+            vals = x[start:start + n]
+            start += n
+        s1 += float(np.sum(vals))
+    assert start == x.size == 5000
+    assert est.mean == s1 / (2500 if antithetic else 5000)
+    assert est.n_paths == 5000
