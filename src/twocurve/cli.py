@@ -27,11 +27,12 @@ default.
 
 Input rules: unknown keys anywhere are an error; every number must be finite
 (JSON NaN and Infinity are refused); schema_version is the integer 1; a cap
-needs n >= 1 and delta > 0; the mc seed (and --seed) must be >= 0; quad
-needs truncation finite and > 0, rel_tol >= 0 and max_refinements >= 0; a
-curve_dump needs delta > 0 and grid points at or after state.t.  Exit codes:
-0 success, 2 parse/validation error, 3 pricing error, 4 Monte Carlo bias
-failure.
+needs n >= 1 and delta > 0; the mc seed (and --seed) must be >= 0, and
+--seed needs an mc section or --mc; quad needs truncation finite and > 0,
+rel_tol >= 0, max_refinements >= 0 and n_nodes_per_axis * 2**max_refinements
+<= 2048; a curve_dump needs delta > 0 and grid points at or after state.t.
+Exit codes: 0 success, 2 parse/validation error, 3 pricing error, 4 Monte
+Carlo bias failure.
 """
 
 from __future__ import annotations
@@ -390,6 +391,9 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if seed is not None and sc.mc is None and not force_mc:
+        print("error: --seed needs an mc section in the scenario or --mc", file=sys.stderr)
+        return 2
     if seed is not None or (force_mc and sc.mc is None):
         base = sc.mc or McConfig()
         try:
@@ -475,7 +479,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", default=".", help="directory for CSV reports")
     ap.add_argument("--mc", action="store_true",
                     help="run Monte Carlo validation even if the scenario omits it")
-    ap.add_argument("--seed", type=int, default=None, help="override the MC seed")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="override the MC seed; needs an mc section in the scenario or --mc")
     ap.add_argument("--solve-fair-rate", action="store_true",
                     help="replace fixed rates/strikes with model fair rates")
     args = ap.parse_args(argv)

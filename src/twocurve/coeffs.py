@@ -52,10 +52,12 @@ def _h(b: float, sigma: float) -> float:
 
 
 def _riccati_closed(tau: float, b: float, sigma: float) -> float:
-    # 2(e^{tau h} - 1) / (2h + (2b + h)(e^{tau h} - 1)),  h = sqrt(4b^2 + 8 sigma^2)
+    # 2(e^{tau h} - 1) / (2h + (2b + h)(e^{tau h} - 1)),  h = sqrt(4b^2 + 8 sigma^2),
+    # divided through by e^{tau h} so that nothing overflows at long horizons:
+    # 2m / ((2b - h) m - 2h) with m = e^{-tau h} - 1
     h = _h(b, sigma)
-    em1 = math.expm1(tau * h)
-    return 2.0 * em1 / (2.0 * h + (2.0 * b + h) * em1)
+    m = math.expm1(-tau * h)
+    return 2.0 * m / ((2.0 * b - h) * m - 2.0 * h)
 
 
 def riccati_integral(tau: float, b: float, sigma: float) -> float:

@@ -5,8 +5,12 @@ of the three Gaussian factors at expiry.  Outside the exercise boundary
 |z| = zbar(x, y) the spread factor z integrates in closed Gaussian form.
 The (x, y) integral is one tensor Gauss-Legendre kernel for both products
 (_tensor_gl) on a +/- truncation standard-deviation box, each y-row's
-x-line split where the exercise function at z = 0 crosses the strike, so
-every panel is smooth and node doubling converges spectrally.  Integrands
+x-line split where the exercise function at z = 0 crosses the strike.  On
+the exercise side of such a cut the z-tail grows like slack^{3/2} from the
+panel edge, an endpoint singularity that holds plain Gauss-Legendre to an
+n^-5 error; every rule is therefore pushed through a cubic map that is flat
+at both ends (_gl_rule), after which node doubling converges spectrally
+(Davis & Rabinowitz, Methods of Numerical Integration, 1984).  Integrands
 are evaluated on blocks of whole panels as arrays, the swaption's periods
 on the leading axis.  The caplet's split and boundary are closed form; the
 swaption's splits come from one scan and one vectorised bisection over all
@@ -96,9 +100,20 @@ class RegionBoundary:
     z2: float = math.nan
 
 
+# the largest rule a price may ask for: _gl_rule(n) solves a dense n x n
+# eigenproblem, 32 MiB at 2048 nodes
+_MAX_NODES = 2048
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    n_nodes_per_axis: int = 128
+    """Node doubling of the option quadrature: estimates at n, 2n, ... up to
+    n * 2**max_refinements nodes per axis (at most 2048), until two in
+    a row agree to rel_tol; (x, y) is truncated at +/- truncation standard
+    deviations.  The rule's endpoint map (_gl_rule) makes the error fall
+    spectrally, so the default 48 nodes usually stop at 96."""
+
+    n_nodes_per_axis: int = 48
     truncation: float = 8.0
     rel_tol: float = 1e-7
     max_refinements: int = 3
@@ -112,6 +127,12 @@ class QuadratureConfig:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if self.max_refinements < 0:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
+        # n >= 16, so more than 7 refinements always exceed the bound; testing
+        # that first keeps a huge max_refinements from building a huge integer
+        if self.max_refinements > 7 or self.n_nodes_per_axis << self.max_refinements > _MAX_NODES:
+            raise ValueError(
+                f"n_nodes_per_axis * 2**max_refinements must be <= {_MAX_NODES}, got "
+                f"{self.n_nodes_per_axis} * 2**{self.max_refinements}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +190,17 @@ def _ndtr(x):
 
 
 @lru_cache(maxsize=16)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _gl_rule(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1] pushed through the cubic
+    x = t(3 - t^2)/2, weights times dx/dt = 3(1 - t^2)/2.
+
+    The map is flat at both ends: 1 + x ~ 3(1 + t)^2/2 near t = -1, and
+    likewise at t = 1.  On the exercise side of a cut the z-tail grows like
+    slack^{3/2} from the panel edge, which limits the plain rule to an n^-5
+    error; through the map that term is (1 + t)^3 times an analytic factor,
+    so node doubling converges spectrally."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * t * (3.0 - t * t), 1.5 * w * (1.0 - t * t)
 
 
 def _normal_pdf(x, mean: float, sd: float):
@@ -199,12 +229,12 @@ def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
 
     cuts(ys, x_lo, x_hi) returns the points (row index, x) where the y-rows'
     x-lines cross the exercise-region boundary.  They split each line into
-    panels, and member(x, y) tags each panel by its midpoint.  Every y-row
-    and every panel gets n Gauss-Legendre nodes.  integrand(x, y, in_m)
+    panels, and member(x, y) tags each panel by its midpoint.  The y-axis
+    and every panel get the n-node mapped rule of _gl_rule.  integrand(x, y, in_m)
     takes flat node arrays, in blocks of about _BLOCK elements of
     nodes x (width + 1); width is the integrand's period count.
     """
-    gx, gw = _leggauss(n)
+    gx, gw = _gl_rule(n)
     (a1, a2, _), (b1v, b2v, _) = fm.alpha, fm.beta
     s1, s2 = math.sqrt(b1v), math.sqrt(b2v)
     y_lo, y_hi = a2 - quad.truncation * s2, a2 + quad.truncation * s2

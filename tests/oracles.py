@@ -6,6 +6,15 @@ backward RK4, integrals by composite Simpson with step halving, forward
 rates by finite differences of log bond prices, and the caplet by direct
 3-D integration of the raw discounted payoff (with the x-axis split at
 the payoff kink so Gauss-Legendre converges spectrally).
+
+The quadrature oracles use the plain Gauss-Legendre rule, not the
+library's cubic endpoint map (optional._gl_rule), so that they share no
+rule with it.  The 3-D caplet needs no map: it splits every x-line at the
+kink for each (y, z) node, and the payoff vanishes only linearly there.
+The swaption oracle integrates z by nodes outside +/- z2, so each of its
+x-panels meets the same slack^{3/2} growth from a cut as the library's
+closed-form z-tail and converges like n^-5: about 2e-10 relative at its
+default 96 nodes, inside the 1e-7 its tests ask.
 """
 
 from __future__ import annotations

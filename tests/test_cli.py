@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twocurve import linear, optional
+from twocurve import cli, linear, optional
 from twocurve.cli import (CapProduct, ScenarioError, main, parse_scenario, run,
                           scenario_to_dict)
 from twocurve.curves import libor_bond, ois_bond
@@ -340,6 +340,39 @@ def test_quadrature_config_rejects_values_that_misprice(tmp_path, capsys, field,
     assert run(_write(tmp_path, doc), str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "quad" in err and field in err
+
+
+def test_quadrature_size_bound_exits_2(tmp_path, capsys):
+    # refused at validation: the 100 000-node rule is never built
+    doc = _scenario([{"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012}],
+                    quad={"n_nodes_per_axis": 100000})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "quad" in err and "2048" in err
+
+
+def test_long_horizon_bonds_exit_0(tmp_path):
+    doc = _scenario([{"type": "bond", "T": 80.0, "curve": "OIS"},
+                     {"type": "bond", "T": 80.0, "curve": "LIBOR"},
+                     {"type": "bond", "T": 1e300, "curve": "LIBOR"}])
+    doc["params"]["b3"] = 5.0
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 0
+    with open(tmp_path / "prices.csv") as fh:
+        assert all(math.isfinite(float(r["analytic_price"])) for r in csv.DictReader(fh))
+
+
+def test_seed_without_mc_section_refused(tmp_path, capsys, monkeypatch):
+    # --seed alone must not turn on the default 100 000-path simulation
+    def simulate(*args, **kwargs):
+        raise AssertionError("Monte Carlo was started")
+
+    monkeypatch.setattr(cli, "mc_price", simulate)
+    monkeypatch.setattr(cli, "mc_bond", simulate)
+    path = _write(tmp_path, _scenario([{"type": "bond", "T": 1.0, "curve": "OIS"}]))
+    assert run(path, str(tmp_path), seed=7) == 2
+    assert "--seed needs an mc section in the scenario or --mc" in capsys.readouterr().err
+    assert main(["--scenario", path, "--out-dir", str(tmp_path), "--seed", "7"]) == 2
+    assert not (tmp_path / "prices.csv").exists()
 
 
 def test_solve_fair_rate_pricing_error_exit_code(tmp_path, capsys):

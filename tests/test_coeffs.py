@@ -34,6 +34,25 @@ def test_riccati_closed_form_vs_rk4(tau, b, sig):
     assert coeffs.c22(0.0, tau, p) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+def _riccati_expm1_form(tau, b, sigma):
+    """The Riccati closed form in e^{tau h} - 1, which overflows once tau h
+    passes about 709: the reference where it is finite."""
+    h = math.sqrt(4.0 * b * b + 8.0 * sigma * sigma)
+    em1 = math.expm1(tau * h)
+    return 2.0 * em1 / (2.0 * h + (2.0 * b + h) * em1)
+
+
+def test_riccati_closed_form_matches_expm1_form(params):
+    # dividing the closed form through by e^{tau h} moves C22 and C33bar at
+    # today's horizons by a few ulps at most
+    rng = np.random.default_rng(3)
+    for p in [params] + [random_params(rng) for _ in range(3)]:
+        for tau in np.geomspace(1e-6, 100.0, 201):
+            for coef, b, sigma in ((coeffs.c22, p.b2, p.sigma2), (coeffs.c33_bar, p.b3, p.sigma3)):
+                ref = _riccati_expm1_form(tau, b, sigma)
+                assert abs(coef(0.0, tau, p) - ref) <= 4.0 * math.ulp(ref)
+
+
 @given(tau=tau_st, b=b_st)
 @settings(max_examples=30, deadline=None)
 def test_b1_closed_form_vs_rk4(tau, b):

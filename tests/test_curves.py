@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,15 @@ def test_non_finite_maturity_rejected(params, state, T):
         fra_price(state, FraSpec(T, 0.5, 0.01), params)
     with pytest.raises(InvalidTimeOrder):
         caplet_price(CapletSpec(T, 0.5, 0.01), params)
+
+
+@pytest.mark.parametrize("T", [80.0, 1e300])
+def test_bonds_finite_at_long_horizons(params, state, T):
+    # with b3 = 5 the Riccati exponent tau*h passes 709, where e^{tau h}
+    # overflows, before T = 80
+    p = dataclasses.replace(params, b3=5.0)
+    for bond in (ois_bond, libor_bond):
+        assert 0.0 <= bond(state, T, p).value < math.inf
 
 
 def test_libor_below_ois_price(params, state):

@@ -265,3 +265,58 @@ class TestSwaptionPrice:
         v64 = swaption_price(SwaptionSpec(swap), params, QuadratureConfig(n_nodes_per_axis=64))
         v128 = swaption_price(SwaptionSpec(swap), params, QuadratureConfig(n_nodes_per_axis=128))
         assert abs(v64 - v128) <= 1e-7 * abs(v128) + 1e-15
+
+
+@pytest.mark.parametrize("n, refinements", [(2049, 0), (1024, 2), (16, 8), (48, 10 ** 30)])
+def test_quadrature_size_bounded(n, refinements):
+    # validation only: no rule is built
+    with pytest.raises(ValueError, match="2048"):
+        QuadratureConfig(n, max_refinements=refinements)
+    QuadratureConfig(2048, max_refinements=0)
+    QuadratureConfig(256, max_refinements=3)
+
+
+def _estimate(price, spec, params, n):
+    """The single n-node estimate of a price: with no refinement allowed the
+    node doubling stops at once and reports it in its history."""
+    with pytest.raises(QuadratureFailure) as info:
+        price(spec, params, QuadratureConfig(n, max_refinements=0))
+    return info.value.history[0][1]
+
+
+@pytest.mark.parametrize("kind, T, n", [("caplet", 1.0, 1), ("caplet", 5.0, 1),
+                                         ("swaption", 0.5, 4), ("swaption", 2.0, 20)])
+@pytest.mark.parametrize("draw", [None, 0, 1, 2])
+def test_mapped_rule_converges_spectrally(params, draw, kind, T, n):
+    # README parameters and three random draws: at-the-money caplets on
+    # [T, T + 0.5] and swaptions of n quarterly periods from T; without the
+    # endpoint map the 64-node error is 1e-9 to 1e-7
+    if draw is not None:
+        rng = np.random.default_rng(11)
+        for _ in range(draw + 1):
+            params = random_params(rng, caplet_safe=True)
+    s = FactorState(0.0, params.psi0)
+    if kind == "caplet":
+        price, spec = caplet_price, CapletSpec(T, 0.5, fair_fra_rate(s, T, 0.5, params))
+    else:
+        swap = SwapSpec(T, n, 0.25, fair_swap_rate(s, SwapSpec(T, n, 0.25, 0.0), params))
+        price, spec = swaption_price, SwaptionSpec(swap)
+    ref = _estimate(price, spec, params, 512)
+    assert abs(_estimate(price, spec, params, 64) / ref - 1.0) <= 1e-11
+    assert abs(price(spec, params) / ref - 1.0) <= 1e-12
+
+
+# the caplet and swaption rows of perfbench/reference.py at the converged
+# 256-node estimates of the plain (unmapped) rule, whose own error is up to
+# about 1.5e-10 relative
+PINNED_PRICES = [
+    (caplet_price, CapletSpec(1.0, 0.5, 0.012), 0.001295570522983659),
+    (caplet_price, CapletSpec(5.0, 0.5, 0.012), 0.000581903797465897),
+    (swaption_price, SwaptionSpec(SwapSpec(0.5, 4, 0.25, 0.01)), 0.0030643228532978998),
+    (swaption_price, SwaptionSpec(SwapSpec(2.0, 20, 0.25, 0.01)), 0.0005172883439272596),
+]
+
+
+@pytest.mark.parametrize("price, spec, pinned", PINNED_PRICES)
+def test_reference_rows_keep_their_prices(params, price, spec, pinned):
+    assert abs(price(spec, params) / pinned - 1.0) <= 1e-9
