@@ -27,11 +27,13 @@ default.
 
 Input rules: unknown keys anywhere are an error; every number must be finite
 (JSON NaN and Infinity are refused); schema_version is the integer 1; a cap
-needs n >= 1 and delta > 0; the mc seed (and --seed) must be >= 0, and
---seed needs an mc section or --mc; quad needs truncation finite and > 0,
-rel_tol >= 0, max_refinements >= 0 and n_nodes_per_axis * 2**max_refinements
-<= 2048; a curve_dump needs delta > 0 and grid points at or after state.t.
-Exit codes: 0 success, 2 parse/validation error, 3 pricing error, 4 Monte
+needs n >= 1 and delta > 0; mc needs n_paths in [1000, 10^8] and
+steps_per_year a power of two <= 65536; the mc seed (and --seed) must be
+>= 0, and --seed needs an mc section or --mc; quad needs truncation finite
+and > 0, rel_tol >= 0, max_refinements >= 0 and n_nodes_per_axis *
+2**max_refinements <= 2048; a curve_dump needs delta > 0 and grid points at
+or after state.t.  Exit codes: 0 success, 2 parse/validation error, 3
+pricing error (including a Monte Carlo grid too large to simulate), 4 Monte
 Carlo bias failure.
 """
 

@@ -36,7 +36,6 @@ __all__ = [
     "b1_dT",
     "b1_sq_integral",
     "riccati_integral",
-    "riccati_residual",
 ]
 
 def _check_order(t: float, T: float) -> float:
@@ -206,37 +205,3 @@ def bundle(t: float, T: float, params: ModelParams) -> CoeffBundle:
     evaluations (the cache is a transparent layer)."""
     _check_order(t, T)
     return _bundle_cached(float(t), float(T), params)
-
-
-_ODE_RESIDUALS = {
-    # residual(f, f_t) for each ODE, zero when f solves it
-    "c22": lambda f, ft, p: ft - 2.0 * p.b2 * f - 2.0 * p.sigma2 ** 2 * f * f + 1.0,
-    "c33_bar": lambda f, ft, p: ft - 2.0 * p.b3 * f - 2.0 * p.sigma3 ** 2 * f * f + 1.0,
-    "b1": lambda f, ft, p: ft - p.b1 * f + 1.0,
-    "b1_bar": lambda f, ft, p: ft - p.b1 * f + 1.0 + p.kappa,
-}
-
-
-def riccati_residual(
-    coef_fn: Callable[[float, float, ModelParams], float],
-    ode_id: str,
-    t: float,
-    T: float,
-    params: ModelParams,
-    step: float = 1e-3,
-) -> float:
-    """Magnitude of the ODE residual for coef_fn at interior time t.
-
-    The t-derivative is taken by fourth-order central finite differences, so
-    the residual of an exact solution scales as O(step^4).
-    """
-    if not t < T:
-        raise InvalidTimeOrder(t, T)
-    h = min(step, (T - t) / 4.0)
-    f = coef_fn(t, T, params)
-    fm2 = coef_fn(t - 2.0 * h, T, params)
-    fm1 = coef_fn(t - h, T, params)
-    fp1 = coef_fn(t + h, T, params)
-    fp2 = coef_fn(t + 2.0 * h, T, params)
-    ft = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    return abs(_ODE_RESIDUALS[ode_id](f, ft, params))

@@ -20,11 +20,12 @@ forward measure Q^{T_k}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import coeffs
 from .curves import ois_bond
-from .errors import ExpectationSingularity, InvalidTimeOrder
+from .errors import ExpectationSingularity, InvalidTimeOrder, TwoCurveError
 from .measures import gaussian_exp_quadratic, q_conditional_law
 from .model import FactorState, ModelParams
 
@@ -105,7 +106,11 @@ def v_single(state: FactorState, T: float, delta: float, params: ModelParams) ->
     """Single-curve quantity v = p(t, T) / p(t, T + delta)."""
     if state.t > T:
         raise InvalidTimeOrder(state.t, T)
-    return ois_bond(state, T, params).value / ois_bond(state, T + delta, params).value
+    p_end = ois_bond(state, T + delta, params).value
+    # a subnormal bond has lost digits, and 0 has lost them all
+    if p_end < sys.float_info.min:
+        raise TwoCurveError(f"p({state.t}, {T + delta}) = {p_end} underflows: no bond ratio v")
+    return ois_bond(state, T, params).value / p_end
 
 
 def adjustment(state: FactorState, T: float, delta: float, params: ModelParams) -> float:
@@ -209,43 +214,35 @@ def expectation_coeffs(
     return ExpectationCoeffs(rho1, rho2, rho3, gamma1, gamma2, gamma3, k)
 
 
-def _period_terms(
-    state: FactorState, swap: SwapSpec, params: ModelParams, k: int
-) -> tuple[float, float]:
-    """(floating-leg exponential term, OIS bond value) for period k, i.e.
-    p(t,T_k) * E^{T_k}[1/pbar(T_{k-1}, T_k)]  and  p(t,T_k)."""
-    t = state.t
-    p1, p2, p3 = state.psi
+def _period_row(t: float, k: int, swap: SwapSpec, params: ModelParams) -> tuple:
+    """Period k's exponents at t, (log d0, A, B1+rho1, C22+rho2, rho3, B1, C22):
+    p(t,T_k) = exp(-A - B1 psi1 - C22 psi2^2), and p(t,T_k) E^{T_k}[1/pbar(T_{k-1},T_k)]
+    = d0 exp(-A - (B1+rho1) psi1 - (C22+rho2) psi2^2 - rho3 psi3^2)."""
     t_pay = swap.pay_date(k)
     cb = coeffs.bundle(t, t_pay, params)
     a_bar_k = coeffs.a_pair(swap.fix_date(k), t_pay, params)[1]
     ec = expectation_coeffs(t, k, swap, params)
-    try:
-        float_term = math.exp(
-            a_bar_k + ec.gamma1 + ec.gamma2 + ec.gamma3
-            - cb.A
-            - (cb.B1 + ec.rho1) * p1
-            - (cb.C22 + ec.rho2) * p2 * p2
-            - ec.rho3 * p3 * p3
-        )
-    except OverflowError:
-        raise ExpectationSingularity(
-            f"period {k}: the psi3 expectation overflows next to the rho3 pole "
-            f"(rho3 = {ec.rho3})"
-        ) from None
-    p_k = math.exp(-cb.A - cb.B1 * p1 - cb.C22 * p2 * p2)
-    return float_term, p_k
+    return (a_bar_k + ec.gamma1 + ec.gamma2 + ec.gamma3, cb.A, cb.B1 + ec.rho1,
+            cb.C22 + ec.rho2, ec.rho3, cb.B1, cb.C22)
 
 
 def swap_price(state: FactorState, swap: SwapSpec, params: ModelParams) -> float:
     """Payer swap price at t <= T0 via the per-period expectation coefficients."""
     if state.t > swap.T0:
         raise InvalidTimeOrder(state.t, swap.T0)
+    p1, p2, p3 = state.psi
     total = 0.0
     rg1 = swap.R * swap.gamma + 1.0
     for k in range(1, swap.n + 1):
-        float_term, p_k = _period_terms(state, swap, params, k)
-        total += float_term - rg1 * p_k
+        log_d0, a, b1t, c22t, rho3, b1, c22 = _period_row(state.t, k, swap, params)
+        try:
+            float_term = math.exp(log_d0 - a - b1t * p1 - c22t * p2 * p2 - rho3 * p3 * p3)
+        except OverflowError:
+            raise ExpectationSingularity(
+                f"period {k}: the psi3 expectation overflows next to the rho3 pole "
+                f"(rho3 = {rho3})"
+            ) from None
+        total += float_term - rg1 * math.exp(-a - b1 * p1 - c22 * p2 * p2)
     return swap.notional * total
 
 
@@ -274,4 +271,7 @@ def fair_swap_rate(state: FactorState, swap: SwapSpec, params: ModelParams) -> f
     """Fixed rate at which the swap prices to zero (the price is affine in R)."""
     zero_spec = SwapSpec(swap.T0, swap.n, swap.gamma, 0.0, 1.0)
     price_at_zero = swap_price(state, zero_spec, params)
-    return price_at_zero / swap_annuity(state, swap, params)
+    annuity = swap_annuity(state, swap, params)
+    if annuity < sys.float_info.min:
+        raise TwoCurveError(f"the annuity {annuity} underflows at T0 = {swap.T0}: no fair rate")
+    return price_at_zero / annuity

@@ -108,12 +108,13 @@ def spread(state: FactorState, params: ModelParams) -> float:
 
 
 def validate(params: ModelParams) -> ValidationReport:
-    """Check positivity of b_i, sigma_i; raise NonPositiveCoefficient otherwise.
+    """Check sigma_i > 0 for pricing (ModelParams already guarantees finite
+    b_i > 0); raise NonPositiveCoefficient otherwise.
 
     The caplet finiteness condition is reported as a warning, not an error:
     linear products and many option maturities remain priceable without it.
     """
-    for name in ("b1", "b2", "b3", "sigma1", "sigma2", "sigma3"):
+    for name in ("sigma1", "sigma2", "sigma3"):
         if not getattr(params, name) > 0.0:
             raise NonPositiveCoefficient(name)
     warnings = []

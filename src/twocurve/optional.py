@@ -1,8 +1,11 @@
 """Semi-closed caplet, floorlet and payer-swaption pricers.
 
 Both option payoffs are positive parts of exponential-quadratic functions
-of the three Gaussian factors at expiry.  Outside the exercise boundary
-|z| = zbar(x, y) the spread factor z integrates in closed Gaussian form.
+of the three Gaussian factors at expiry; the swaption's is the swap's value
+at T0, g - h, from the per-period rows linear.swap_price uses
+(linear._period_row).  Outside the exercise boundary |z| = zbar(x, y) the
+spread factor z integrates in closed Gaussian form, for both products
+through the same tilted laws (_z_tilt) and tail sum (_z_tail).
 The (x, y) integral is one tensor Gauss-Legendre kernel for both products
 (_tensor_gl) on a +/- truncation standard-deviation box, each y-row's
 x-line split where the exercise function at z = 0 crosses the strike.  On
@@ -38,7 +41,7 @@ from .errors import (
     QuadratureFailure,
     RootNotBracketed,
 )
-from .linear import FraSpec, SwapSpec, expectation_coeffs, fra_price
+from .linear import FraSpec, SwapSpec, _period_row, fra_price
 from .measures import forward_moments
 from .model import FactorState, ModelParams
 
@@ -223,6 +226,33 @@ def _refine(estimate, quad: QuadratureConfig) -> float:
     )
 
 
+def _z_tilt(c, fm, error):
+    """(sq, gam, shift), shape (len(c), 1), of the factors exp(c_k z^2) with z ~
+    N(a3, b3) the spread factor's law in fm: sq = sqrt(1 - 2 b3 c_k), gam =
+    E[exp(c_k z^2)] and the tilted law exp(c_k z^2) N(a3, b3) / gam = N(shift/sq,
+    b3/sq^2).  The first k with 1 - 2 b3 c_k <= 0 raises error(k, 1 - 2 b3 c_k)."""
+    c = np.atleast_1d(c)
+    a3, b3v = fm.alpha[2], fm.beta[2]
+    disc = 1.0 - 2.0 * b3v * c
+    if np.any(disc <= 0.0):
+        k = int(np.argmax(disc <= 0.0))
+        raise error(k, disc[k])
+    sq = np.sqrt(disc)[:, None]
+    theta = a3 * (1.0 - 1.0 / sq) / b3v
+    return sq, np.exp(0.5 * theta * theta * b3v - a3 * theta) / sq, a3 - theta * b3v
+
+
+def _z_tail(ge, h, z2, sq, shift, fm):
+    """The closed-form z-tail sum_k ge_k P_k(|z| > z2) - h P(|z| > z2) at nodes
+    where |z| > z2 exercises: P_k the tilted laws of _z_tilt, P the plain one;
+    ge has shape (len(sq), nodes)."""
+    a3, s3 = fm.alpha[2], math.sqrt(fm.beta[2])
+    sz = sq * z2
+    p = _ndtr(np.concatenate([-sz - shift, shift - sz, [-z2 - a3, a3 - z2]]) / s3)
+    n = len(sq)
+    return (ge * (p[:n] + p[n:2 * n])).sum(axis=0) - h * (p[-2] + p[-1])
+
+
 def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
                width: int = 1) -> float:
     """E[integrand] over (x, y) ~ N(alpha, beta) on the truncated box.
@@ -324,17 +354,8 @@ def caplet_price(
     ln_rt = math.log(r_t)
 
     fm = forward_moments(caplet.T, caplet.T + caplet.delta, params)
-    a3, b3v = fm.alpha[2], fm.beta[2]
-    disc = 1.0 - 2.0 * b3v * c33
-    if disc <= 0.0:
-        raise CapletConditionViolated(
-            f"1 - 2*beta3*C33 = {disc} <= 0: the spread-factor expectation diverges"
-        )
-    sq = math.sqrt(disc)
-    s3 = math.sqrt(b3v)
-    theta = a3 * (1.0 - 1.0 / sq) / b3v
-    gam = math.exp(0.5 * theta * theta * b3v - a3 * theta) / sq
-    shift = a3 - theta * b3v
+    sq, gam, shift = _z_tilt(c33, fm, lambda k, disc: CapletConditionViolated(
+        f"1 - 2*beta3*C33 = {disc} <= 0: the spread-factor expectation diverges"))
     p0 = ois_bond(FactorState(0.0, params.psi0), caplet.T + caplet.delta, params).value
 
     def slack(x, y):
@@ -349,14 +370,11 @@ def caplet_price(
         return row, x[row]
 
     def integrand(x, y, in_m):
-        big_e = np.exp(cb.A_bar + kb * x + cb.C22 * y * y)
-        val = big_e * gam - r_t
-        xm, ym = x[in_m], y[in_m]
-        z2 = np.sqrt(np.maximum(slack(xm, ym), 0.0) / c33)
-        # the tails |z| > z2 under the tilted and the plain z-law; the
-        # boundary terms E * exp(C33*z2^2) equal Rtilde there
-        p = _ndtr(np.stack([-sq * z2 - shift, shift - sq * z2, -z2 - a3, a3 - z2]) / s3)
-        val[in_m] = big_e[in_m] * gam * (p[0] + p[1]) - r_t * (p[2] + p[3])
+        ge = np.exp(cb.A_bar + kb * x + cb.C22 * y * y) * gam[0]
+        val = ge - r_t
+        z2 = np.sqrt(np.maximum(slack(x[in_m], y[in_m]), 0.0) / c33)
+        # the boundary terms E * exp(C33*z2^2) equal Rtilde
+        val[in_m] = _z_tail(ge[None, in_m], r_t, z2, sq, shift, fm)
         return val
 
     def estimate(n: int) -> float:
@@ -411,27 +429,19 @@ def swaption_case(swap: SwapSpec, params: ModelParams) -> str:
 
 
 class _SwaptionAssembly:
-    """Per-period coefficients of the exercise functions g and h at T0:
+    """Per-period coefficients (linear._period_row at T0) of the exercise
+    functions g and h:
 
         g(x, y, z) = sum_k d0_k exp(-a0_k - b1t_k x - c22t_k y^2 - c33t_k z^2)
         h(x, y)    = rg1 sum_k exp(-a0_k - b1_k x - c22_k y^2)
 
-    as arrays over the periods k."""
+    as arrays over the periods k; g - h is the swap's value at T0."""
 
     def __init__(self, swap: SwapSpec, params: ModelParams):
         self.swap = swap
-        t0 = swap.T0
-        rows = []
-        for k in range(1, swap.n + 1):
-            cbk = coeffs.bundle(t0, swap.pay_date(k), params)
-            eck = expectation_coeffs(t0, k, swap, params)
-            a_bar_k = coeffs.a_pair(swap.fix_date(k), swap.pay_date(k), params)[1]
-            log_d0 = a_bar_k + eck.gamma1 + eck.gamma2 + eck.gamma3
-            rows.append((cbk.A, log_d0, cbk.B1 + eck.rho1, cbk.C22 + eck.rho2,
-                         eck.rho3, cbk.B1, cbk.C22))
-        self.a0, log_d0, self.b1t, self.c22t, self.c33t, self.b1, self.c22 = (
-            np.array(col) for col in zip(*rows))
-        self.d0 = np.exp(log_d0)
+        log_d0, self.a0, self.b1t, self.c22t, self.c33t, self.b1, self.c22 = (
+            np.array(col) for col in
+            zip(*(_period_row(swap.T0, k, swap, params) for k in range(1, swap.n + 1))))
         self.rg1 = swap.R * swap.gamma + 1.0
         # the exponents of the terms of g(., ., 0) and of h are linear in
         # (1, x, y^2): one matrix, g's periods first
@@ -441,12 +451,12 @@ class _SwaptionAssembly:
         ])
 
     def g(self, x, y, z):
-        return sum(d * np.exp(-a - bt * x - ct * y * y - r * z * z) for d, a, bt, ct, r
-                   in zip(self.d0, self.a0, self.b1t, self.c22t, self.c33t))
+        x, y, z = np.broadcast_arrays(x, y, z)
+        lt = self.log_terms(x, y)[:self.swap.n]
+        return np.exp(lt - np.multiply.outer(self.c33t, z * z)).sum(axis=0)
 
     def h(self, x, y):
-        return sum(self.rg1 * np.exp(-a - b * x - c * y * y)
-                   for a, b, c in zip(self.a0, self.b1, self.c22))
+        return np.exp(self.log_terms(x, y)[self.swap.n:]).sum(axis=0)
 
     def log_terms(self, x, y):
         """Logs of the terms of g(x, y, 0) (the first n_periods rows) and of
@@ -567,32 +577,18 @@ def swaption_price(
     asm = _SwaptionAssembly(swap, params)
 
     fm = forward_moments(swap.T0, swap.T0, params)
-    a3, b3v = fm.alpha[2], fm.beta[2]
-    s3 = math.sqrt(b3v)
-    disc = 1.0 + 2.0 * b3v * asm.c33t
-    if np.any(disc <= 0.0):
-        k = int(np.argmax(disc <= 0.0))
-        raise MomentExplosion(
-            f"1 + 2*beta3*C33_tilde = {disc[k]} <= 0 for period {k + 1}"
-        )
-    sqs = np.sqrt(disc)[:, None]
-    thetas = a3 * (1.0 - 1.0 / sqs) / b3v
-    gammas = np.exp(0.5 * thetas * thetas * b3v - a3 * thetas) / sqs
-    shifts = a3 - thetas * b3v
+    sq, gam, shift = _z_tilt(-asm.c33t, fm, lambda k, disc: MomentExplosion(
+        f"1 + 2*beta3*C33_tilde = {disc} <= 0 for period {k + 1}"))
     p0 = ois_bond(FactorState(0.0, params.psi0), swap.T0, params).value
 
     def integrand(x, y, in_m):
         t = np.exp(asm.log_terms(x, y))
-        ge, h = gammas * t[:swap.n], t[swap.n:].sum(axis=0)
+        ge, h = gam * t[:swap.n], t[swap.n:].sum(axis=0)
         # off the region g >= h for every z: the positive part is the mean
         val = ge.sum(axis=0) - h
         z2 = _boundary_root(asm, x[in_m], y[in_m])
-        # the tails |z| > z2 under each period's tilted z-law and the plain
-        # one; the boundary terms sum_k E_k exp(-c33t_k z2^2) equal h there
-        sz = sqs * z2
-        p = _ndtr(np.concatenate([-sz - shifts, shifts - sz, [-z2 - a3, a3 - z2]]) / s3)
-        n = swap.n
-        val[in_m] = (ge[:, in_m] * (p[:n] + p[n:2 * n])).sum(axis=0) - h[in_m] * (p[-2] + p[-1])
+        # the boundary terms sum_k E_k exp(-c33t_k z2^2) equal h
+        val[in_m] = _z_tail(ge[:, in_m], h[in_m], z2, sq, shift, fm)
         return val
 
     def estimate(n: int) -> float:

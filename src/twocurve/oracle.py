@@ -12,7 +12,14 @@ Determinism: paths are generated in fixed-size blocks of 4096 (2048
 antithetic pairs), each block drawing from its own counter-derived
 substream of the master seed, and block results are reduced in block
 order - the estimate is bit-identical regardless of how blocks are
-scheduled.
+scheduled.  Sizes are bounded: McConfig caps n_paths and steps_per_year, and
+a grid whose path array per block passes _BLOCK_BYTES is refused unbuilt.
+
+Payoffs: FRAs, caplets, floorlets and swaps share one payoff over their
+(fix, pay, accrual) Libor periods, the discounted cash flow
+N (1/pbar(fix, pay) - 1 - accrual R) of each period; a caplet takes its
+positive part and a floorlet that of its negative.  A swaption pays the
+positive part of the analytic swap value at expiry.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from typing import Callable, Union
 
 import numpy as np
 
+from . import coeffs
 from .curves import ois_bond
-from .errors import BiasDominates
+from .errors import BiasDominates, TwoCurveError
 from .linear import FraSpec, SwapSpec
 from .model import FactorState, ModelParams
 from .optional import CapletSpec, SwaptionSpec, _SwaptionAssembly
@@ -39,6 +47,12 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # paths per block; fixed so results never depend on scheduling
+# the largest factor-path array of one block, 3 x _BLOCK x grid points in
+# float64 (5461 points); a block's normals and payoff temporaries come to a
+# few times this
+_BLOCK_BYTES = 512 << 20
+_MAX_PATHS = 100_000_000
+_MAX_STEPS_PER_YEAR = 1 << 16
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -53,11 +67,12 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 1000:
-            raise ValueError("n_paths must be >= 1000")
+        if not 1000 <= self.n_paths <= _MAX_PATHS:
+            raise ValueError(f"n_paths must be in [1000, {_MAX_PATHS}], got {self.n_paths}")
         s = self.steps_per_year
-        if s < 1 or (s & (s - 1)) != 0:
-            raise ValueError("steps_per_year must be a positive power of two")
+        if s < 1 or (s & (s - 1)) != 0 or s > _MAX_STEPS_PER_YEAR:
+            raise ValueError(
+                f"steps_per_year must be a power of two <= {_MAX_STEPS_PER_YEAR}, got {s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -78,12 +93,21 @@ def _make_grid(dates, steps_per_year: int) -> np.ndarray:
     """Fine time grid from 0 through max(dates): every date is a grid point,
     each inter-date span is cut into equal steps near 1/steps_per_year, and
     each such step is then halved so that grid[::2] is a valid coarse grid
-    containing all the dates too."""
+    containing all the dates too.  A grid whose block path array would pass
+    _BLOCK_BYTES is refused before it is built."""
     pts = sorted({0.0} | {float(d) for d in dates})
+    # steps per span, counted in Python floats (inf past the float range)
+    # before anything is built
+    steps = np.maximum(1.0, np.ceil([(b - a) * steps_per_year - 1e-12
+                                     for a, b in zip(pts[:-1], pts[1:])]))
+    n_points = 1.0 + 2.0 * steps.sum()
+    if 3 * _BLOCK * 8 * n_points > _BLOCK_BYTES:
+        raise TwoCurveError(
+            f"a Monte Carlo grid of {n_points:.3g} points to T = {pts[-1]} passes the "
+            f"{_BLOCK_BYTES >> 20} MiB block budget; lower steps_per_year")
     times = [0.0]
-    for a, b in zip(pts[:-1], pts[1:]):
+    for a, b, m in zip(pts[:-1], pts[1:], map(int, steps)):
         span = b - a
-        m = max(1, int(math.ceil(span * steps_per_year - 1e-12)))
         for j in range(1, 2 * m + 1):
             times.append(a + span * j / (2 * m))
         times[-1] = b
@@ -235,8 +259,6 @@ def mc_forward_expectation(
 
     payoff takes the factor values at T, shape (3, n), and returns (n,).
     """
-    from . import coeffs
-
     p0 = ois_bond(FactorState(0.0, params.psi0), T_star, params).value
     cb = coeffs.bundle(T, T_star, params)
 
@@ -252,20 +274,6 @@ def mc_forward_expectation(
     return _run(params, times, config, discounted)
 
 
-def _libor_recip(psi_t: np.ndarray, T: float, delta: float, params: ModelParams):
-    """1 / pbar(T, T+delta) at the simulated factor values, vectorized via the
-    closed-form exponent."""
-    from . import coeffs
-
-    cb = coeffs.bundle(T, T + delta, params)
-    return np.exp(
-        cb.A_bar
-        + cb.B1_bar * psi_t[0]
-        + cb.C22 * psi_t[1] ** 2
-        + cb.C33_bar * psi_t[2] ** 2
-    )
-
-
 def mc_price(
     params: ModelParams,
     product: ProductSpec,
@@ -279,51 +287,6 @@ def mc_price(
     simulation); that inner formula is validated separately against the
     nested-free swap estimator.
     """
-    if isinstance(product, FraSpec):
-        T, delta = product.T, product.delta
-        times = _make_grid([T, T + delta], config.steps_per_year)
-        strike = 1.0 + delta * product.R
-
-        def payoff(ts, psi):
-            idx = int(np.searchsorted(ts, T))
-            recip = _libor_recip(psi[:, :, idx], T, delta, params)
-            disc = np.exp(-_cum_trapz_to(ts, _short_rate_paths(psi), T + delta))
-            return product.notional * disc * (recip - strike)
-
-        return _run(params, times, config, payoff)
-
-    if isinstance(product, CapletSpec):
-        T, delta = product.T, product.delta
-        times = _make_grid([T, T + delta], config.steps_per_year)
-        strike = product.r_tilde
-
-        def payoff(ts, psi):
-            idx = int(np.searchsorted(ts, T))
-            recip = _libor_recip(psi[:, :, idx], T, delta, params)
-            disc = np.exp(-_cum_trapz_to(ts, _short_rate_paths(psi), T + delta))
-            intrinsic = strike - recip if floorlet else recip - strike
-            return product.notional * disc * np.maximum(intrinsic, 0.0)
-
-        return _run(params, times, config, payoff)
-
-    if isinstance(product, SwapSpec):
-        swap = product
-        dates = [swap.T0] + [swap.pay_date(k) for k in range(1, swap.n + 1)]
-        times = _make_grid(dates, config.steps_per_year)
-
-        def payoff(ts, psi):
-            rate = _short_rate_paths(psi)
-            total = 0.0
-            for k in range(1, swap.n + 1):
-                t_fix, t_pay = swap.fix_date(k), swap.pay_date(k)
-                idx = int(np.searchsorted(ts, t_fix))
-                recip = _libor_recip(psi[:, :, idx], t_fix, swap.gamma, params)
-                disc = np.exp(-_cum_trapz_to(ts, rate, t_pay))
-                total = total + disc * (recip - 1.0 - swap.gamma * swap.R)
-            return swap.notional * total
-
-        return _run(params, times, config, payoff)
-
     if isinstance(product, SwaptionSpec):
         swap = product.swap
         asm = _SwaptionAssembly(swap, params)
@@ -338,4 +301,33 @@ def mc_price(
 
         return _run(params, times, config, payoff)
 
-    raise TypeError(f"unsupported product type {type(product).__name__}")
+    # (fix, pay, accrual) per Libor period, read off the spec itself so that
+    # every date is a grid point
+    if isinstance(product, SwapSpec):
+        periods = [(product.fix_date(k), product.pay_date(k), product.gamma)
+                   for k in range(1, product.n + 1)]
+    elif isinstance(product, (FraSpec, CapletSpec)):
+        periods = [(product.T, product.T + product.delta, product.delta)]
+    else:
+        raise TypeError(f"unsupported product type {type(product).__name__}")
+    # a caplet pays the positive part of each cash flow, a floorlet that of
+    # its negative
+    sign = (-1.0 if floorlet else 1.0) if isinstance(product, CapletSpec) else None
+    times = _make_grid([d for fix, pay, _ in periods for d in (fix, pay)],
+                       config.steps_per_year)
+
+    def payoff(ts, psi):
+        rate = _short_rate_paths(psi)
+        total = 0.0
+        for t_fix, t_pay, accrual in periods:
+            # 1 / pbar(t_fix, t_fix + accrual) at the simulated factor values
+            cb = coeffs.bundle(t_fix, t_fix + accrual, params)
+            x, y, z = psi[:, :, int(np.searchsorted(ts, t_fix))]
+            flow = (np.exp(cb.A_bar + cb.B1_bar * x + cb.C22 * y ** 2 + cb.C33_bar * z ** 2)
+                    - (1.0 + accrual * product.R))
+            if sign is not None:
+                flow = np.maximum(sign * flow, 0.0)
+            total = total + product.notional * np.exp(-_cum_trapz_to(ts, rate, t_pay)) * flow
+        return total
+
+    return _run(params, times, config, payoff)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the production code paths it is used
 to validate: the Riccati coefficients are re-solved by brute-force
-backward RK4, integrals by composite Simpson with step halving, forward
-rates by finite differences of log bond prices, and the caplet by direct
+backward RK4, their ODE residuals taken by fourth-order finite differences,
+integrals by composite Simpson with step halving, forward rates by finite
+differences of log bond prices, and the caplet by direct
 3-D integration of the raw discounted payoff (with the x-axis split at
 the payoff kink so Gauss-Legendre converges spectrally).
 
@@ -54,6 +55,40 @@ def riccati_rk4(b: float, sigma: float, tau: float, n_steps: int = 2000) -> floa
 def linear_b_rk4(b: float, tau: float, n_steps: int = 2000) -> float:
     """B(t, t+tau) for dB/dt = b B - 1, B(T, T) = 0."""
     return rk4_backward(lambda t, y: b * y - 1.0, 0.0, tau, 0.0, n_steps)
+
+
+_ODE_RESIDUALS = {
+    # residual(f, f_t) for each ODE, zero when f solves it
+    "c22": lambda f, ft, p: ft - 2.0 * p.b2 * f - 2.0 * p.sigma2 ** 2 * f * f + 1.0,
+    "c33_bar": lambda f, ft, p: ft - 2.0 * p.b3 * f - 2.0 * p.sigma3 ** 2 * f * f + 1.0,
+    "b1": lambda f, ft, p: ft - p.b1 * f + 1.0,
+    "b1_bar": lambda f, ft, p: ft - p.b1 * f + 1.0 + p.kappa,
+}
+
+
+def riccati_residual(
+    coef_fn,
+    ode_id: str,
+    t: float,
+    T: float,
+    params,
+    step: float = 1e-3,
+) -> float:
+    """Magnitude of the ODE residual for coef_fn at interior time t.
+
+    The t-derivative is taken by fourth-order central finite differences, so
+    the residual of an exact solution scales as O(step^4).
+    """
+    if not t < T:
+        raise InvalidTimeOrder(t, T)
+    h = min(step, (T - t) / 4.0)
+    f = coef_fn(t, T, params)
+    fm2 = coef_fn(t - 2.0 * h, T, params)
+    fm1 = coef_fn(t - h, T, params)
+    fp1 = coef_fn(t + h, T, params)
+    fp2 = coef_fn(t + 2.0 * h, T, params)
+    ft = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    return abs(_ODE_RESIDUALS[ode_id](f, ft, params))
 
 
 def simpson(f, lo: float, hi: float, n: int = 512) -> float:

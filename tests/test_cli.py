@@ -361,6 +361,32 @@ def test_long_horizon_bonds_exit_0(tmp_path):
         assert all(math.isfinite(float(r["analytic_price"])) for r in csv.DictReader(fh))
 
 
+@pytest.mark.parametrize("product, dump, solve", [
+    ({"type": "fra", "T": 1e300, "delta": 0.25, "R": 0.01}, None, False),
+    ({"type": "swap", "T0": 1e300, "n": 2, "gamma": 0.25, "R": 0.01}, None, True),
+    (None, {"grid": [1.0, 1e300], "delta": 0.25}, False),
+], ids=["fra", "fair-swap-rate", "curve-dump"])
+def test_bond_ratios_past_bond_underflow_exit_3(tmp_path, capsys, product, dump, solve):
+    doc = _scenario([product] if product else [],
+                    outputs=[{"curve_dump": dump}] if dump else ["prices"])
+    assert run(_write(tmp_path, doc), str(tmp_path), solve_fair_rate=solve) == 3
+    assert "TwoCurveError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("n_paths", 100_000_001),
+                                          ("steps_per_year", 1 << 17)])
+def test_mc_size_caps_exit_2(tmp_path, capsys, monkeypatch, field, value):
+    # refused at validation: no path is simulated
+    def simulate(*args, **kwargs):
+        raise AssertionError("Monte Carlo was started")
+
+    monkeypatch.setattr(cli, "mc_price", simulate)
+    doc = _scenario([{"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01}],
+                    mc={"n_paths": 1000, "steps_per_year": 8, field: value})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert f"mc: {field} must be" in capsys.readouterr().err
+
+
 def test_seed_without_mc_section_refused(tmp_path, capsys, monkeypatch):
     # --seed alone must not turn on the default 100 000-path simulation
     def simulate(*args, **kwargs):

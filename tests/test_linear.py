@@ -10,6 +10,7 @@ from twocurve import (
     ModelParams,
     MomentExplosion,
     SwapSpec,
+    TwoCurveError,
     adjustment,
     coeffs,
     expectation_coeffs,
@@ -171,8 +172,41 @@ def test_one_period_swap_is_fra(params, state):
     swap = SwapSpec(1.0, 1, 0.5, 0.013)
     fra = FraSpec(1.0, 0.5, 0.013)
     assert swap_price(state, swap, params) == pytest.approx(
-        fra_price(state, fra, params), rel=1e-8
+        fra_price(state, fra, params), rel=1e-12
     )
+    # the expectation-coefficient route against the v * Ad * Res route, to
+    # 1e-12 of the fixed leg N p(t, T+delta) (1 + delta R): a price near 0
+    # is a difference of the two legs
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        p = random_params(rng)
+        s = FactorState(float(rng.uniform(0.0, 1.0)), tuple(rng.normal(0.0, 0.05, 3)))
+        T, delta = s.t + float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 1.0))
+        R, notional = float(rng.uniform(-0.01, 0.05)), float(rng.uniform(0.5, 3.0))
+        leg = notional * ois_bond(s, T + delta, p).value * (1.0 + delta * R)
+        diff = (swap_price(s, SwapSpec(T, 1, delta, R, notional), p)
+                - fra_price(s, FraSpec(T, delta, R, notional), p))
+        assert abs(diff) <= 1e-12 * leg
+
+
+@pytest.mark.parametrize("price", [
+    lambda s, p: fra_price(s, FraSpec(1e300, 0.25, 0.01), p),
+    lambda s, p: fair_fra_rate(s, 1e300, 0.25, p),
+    lambda s, p: fair_fra_rate(s, 1.6e6, 0.25, p),
+    lambda s, p: v_multi(s, 1e300, 0.25, p),
+    lambda s, p: fair_swap_rate(s, SwapSpec(1e300, 4, 0.25, 0.01), p),
+], ids=["fra", "fair-fra-rate", "fair-fra-rate-subnormal", "v-multi", "fair-swap-rate"])
+def test_bond_ratio_past_bond_underflow_raises(params, state, price):
+    # the OIS bonds are 0 at T = 1e300 and the subnormal 5e-324 at 1.6e6,
+    # where their ratio read 1 and the fair rate a third of its value
+    with pytest.raises(TwoCurveError, match="underflows"):
+        price(state, params)
+
+
+def test_bond_ratio_with_tiny_normal_bonds_keeps_its_level(params, state):
+    # at 1.5e6 the bonds are near 1e-303, still normal floats
+    assert fair_fra_rate(state, 1.5e6, 0.25, params) == pytest.approx(
+        fair_fra_rate(state, 1e4, 0.25, params), rel=1e-8)
 
 
 def test_rho3_pole_raises():

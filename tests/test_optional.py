@@ -228,6 +228,20 @@ class TestSwaptionRegion:
         assert not swaption_region(0.5, 0.0, swap, params, "case1").in_region
 
 
+@pytest.mark.parametrize("n_periods", [1, 4, 20])
+def test_swap_value_at_expiry_is_g_minus_h(params, n_periods):
+    # swap_price at T0 and the swaption's exercise functions are built from
+    # the same period rows; compared on the scale of the fixed leg h
+    swap = SwapSpec(1.0, n_periods, 0.25, 0.012, notional=1.7)
+    asm, x, y, _ = _grid_nodes(swap, params, n=16)
+    fm = forward_moments(swap.T0, swap.T0, params)
+    z = fm.alpha[2] + math.sqrt(fm.beta[2]) * np.linspace(-8.0, 8.0, x.size)
+    direct = np.array([swap_price(FactorState(swap.T0, psi), swap, params)
+                       for psi in zip(x, y, z)])
+    h = asm.h(x, y)
+    assert np.max(np.abs(direct - swap.notional * (asm.g(x, y, z) - h)) / h) <= 1e-13
+
+
 class TestSwaptionPrice:
     @pytest.mark.parametrize("draw", [None, 0, 1, 2])
     def test_against_z_quadrature_oracle(self, params, draw):

@@ -12,6 +12,7 @@ from twocurve import (
     ModelParams,
     SwapSpec,
     SwaptionSpec,
+    TwoCurveError,
     caplet_price,
     fair_fra_rate,
     forward_moments,
@@ -25,7 +26,7 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
-from twocurve.oracle import _run
+from twocurve.oracle import _make_grid, _run
 
 CFG = McConfig(n_paths=40_000, steps_per_year=64, seed=12345)
 
@@ -142,6 +143,34 @@ def test_config_validation():
         McConfig(n_paths=10)
     with pytest.raises(ValueError):
         McConfig(steps_per_year=48)  # not a power of two
+    with pytest.raises(ValueError, match="n_paths"):
+        McConfig(n_paths=100_000_001)
+    with pytest.raises(ValueError, match="steps_per_year"):
+        McConfig(steps_per_year=1 << 17)
+    McConfig(n_paths=100_000_000, steps_per_year=1 << 16)
+
+
+def test_grid_past_the_block_budget_refused():
+    # counted, not built: a block of 4096 paths over 100 years at 512 steps
+    # a year would be a 9.4 GiB array
+    with pytest.raises(TwoCurveError, match="block budget"):
+        _make_grid([100.0], 512)
+    with pytest.raises(TwoCurveError, match="block budget"):
+        _make_grid([0.25, 1.0], 1 << 16)
+    assert _make_grid([5.0], 512).size == 5121
+
+
+def test_libor_payoffs_agree_path_by_path(params):
+    # one payoff for every Libor product: on the same dates, seed and
+    # notional, caplet - floorlet is the FRA, and the FRA is the one-period
+    # swap
+    cfg = McConfig(n_paths=4096, steps_per_year=32, seed=17)
+    fra = mc_price(params, FraSpec(1.0, 0.5, 0.012, 2.5), cfg).mean
+    cap = CapletSpec(1.0, 0.5, 0.012, 2.5)
+    caplet, floorlet = (mc_price(params, cap, cfg, floorlet=f).mean for f in (False, True))
+    assert caplet - floorlet == pytest.approx(fra, rel=1e-12)
+    assert mc_price(params, SwapSpec(1.0, 1, 0.5, 0.012, 2.5), cfg).mean == pytest.approx(
+        fra, rel=1e-12)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
