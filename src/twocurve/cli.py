@@ -419,7 +419,7 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
         except BiasDominates as exc:
             print(f"error: product {idx} ({kind}): {exc}", file=sys.stderr)
             return 4
-        except TwoCurveError as exc:
+        except (TwoCurveError, ArithmeticError) as exc:
             print(f"error: product {idx} ({kind}): {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return 3
@@ -443,7 +443,7 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
                     T, p, pb, (v - 1.0) / cd.delta, (vb - 1.0) / cd.delta,
                     linear.adjustment(state, T, cd.delta, sc.params),
                     linear.residual(state.t, T, cd.delta, sc.params)))
-        except TwoCurveError as exc:
+        except (TwoCurveError, ArithmeticError) as exc:
             print(f"error: curve_dump at T={T}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return 3

@@ -16,12 +16,20 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import coeffs
-from .errors import InvalidTimeOrder
+from .errors import InvalidTimeOrder, TwoCurveError
 from .model import FactorState, ModelParams
 
 __all__ = ["BondQuote", "ois_bond", "libor_bond", "libor_bond_via_ois", "inst_forward"]
 
 Curve = Literal["OIS", "LIBOR"]
+
+
+def _bond_value(log_value: float, t: float, T: float, curve: Curve) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise TwoCurveError(
+            f"{curve} bond over [{t}, {T}] = exp({log_value:.6g}) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ def ois_bond(state: FactorState, T: float, params: ModelParams) -> BondQuote:
     """Price of the OIS discount bond p(t, T) at the given factor state."""
     cb = coeffs.bundle(state.t, T, params)
     p1, p2, _ = state.psi
-    value = math.exp(-cb.A - cb.B1 * p1 - cb.C22 * p2 * p2)
+    value = _bond_value(-cb.A - cb.B1 * p1 - cb.C22 * p2 * p2, state.t, T, "OIS")
     return BondQuote(t=state.t, T=T, value=value, curve="OIS")
 
 
@@ -44,9 +52,9 @@ def libor_bond(state: FactorState, T: float, params: ModelParams) -> BondQuote:
     """Price of the fictitious Libor bond pbar(t, T)."""
     cb = coeffs.bundle(state.t, T, params)
     p1, p2, p3 = state.psi
-    value = math.exp(
-        -cb.A_bar - cb.B1_bar * p1 - cb.C22 * p2 * p2 - cb.C33_bar * p3 * p3
-    )
+    value = _bond_value(
+        -cb.A_bar - cb.B1_bar * p1 - cb.C22 * p2 * p2 - cb.C33_bar * p3 * p3,
+        state.t, T, "LIBOR")
     return BondQuote(t=state.t, T=T, value=value, curve="LIBOR")
 
 

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import coeffs
-from .curves import ois_bond
+from .curves import _bond_value, ois_bond
 from .errors import ExpectationSingularity, InvalidTimeOrder, TwoCurveError
 from .measures import gaussian_exp_quadratic, q_conditional_law
 from .model import FactorState, ModelParams
@@ -126,10 +126,13 @@ def adjustment(state: FactorState, T: float, delta: float, params: ModelParams) 
     c33p = coeffs.c33_bar(T, T + delta, params)
     law1 = q_conditional_law(1, state.t, T, state, params)
     a = params.kappa * b1p
-    e_lin = math.exp(a * law1.mean + 0.5 * a * a * law1.variance)
     law3 = q_conditional_law(3, state.t, T, state, params)
     e_quad = gaussian_exp_quadratic(law3, c33p)
-    return math.exp(at) * e_lin * e_quad
+    try:
+        e_lin = math.exp(a * law1.mean + 0.5 * a * a * law1.variance)
+        return math.exp(at) * e_lin * e_quad
+    except OverflowError:
+        raise TwoCurveError(f"the adjustment factor over [{T}, {T + delta}] overflows") from None
 
 
 def residual(t: float, T: float, delta: float, params: ModelParams) -> float:
@@ -242,7 +245,8 @@ def swap_price(state: FactorState, swap: SwapSpec, params: ModelParams) -> float
                 f"period {k}: the psi3 expectation overflows next to the rho3 pole "
                 f"(rho3 = {rho3})"
             ) from None
-        total += float_term - rg1 * math.exp(-a - b1 * p1 - c22 * p2 * p2)
+        total += float_term - rg1 * _bond_value(-a - b1 * p1 - c22 * p2 * p2, state.t,
+                                                swap.pay_date(k), "OIS")
     return swap.notional * total
 
 

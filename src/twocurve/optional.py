@@ -25,6 +25,7 @@ the strike level (Rtilde, or h(x, y) for the swaption), so nothing overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -40,6 +41,7 @@ from .errors import (
     MomentExplosion,
     QuadratureFailure,
     RootNotBracketed,
+    TwoCurveError,
 )
 from .linear import FraSpec, SwapSpec, _period_row, fra_price
 from .measures import forward_moments
@@ -347,6 +349,13 @@ def caplet_price(
     """
     if caplet.T <= 0.0:
         raise InvalidTimeOrder(caplet.T, 0.0)
+    t_pay = caplet.T + caplet.delta
+    p0 = ois_bond(FactorState(0.0, params.psi0), t_pay, params).value
+    # a subnormal bond has lost digits, and 0 has lost them all; there the
+    # integrand's 1 / pbar(T, T + delta) overflows as well
+    if p0 < sys.float_info.min:
+        raise TwoCurveError(f"caplet accrual delta = {caplet.delta}: p(0, {t_pay}) = {p0} "
+                            "underflows, no caplet price")
     cb = _caplet_coeffs(caplet, params)
     c33 = cb.C33_bar
     kb = (1.0 + params.kappa) * cb.B1
@@ -356,7 +365,6 @@ def caplet_price(
     fm = forward_moments(caplet.T, caplet.T + caplet.delta, params)
     sq, gam, shift = _z_tilt(c33, fm, lambda k, disc: CapletConditionViolated(
         f"1 - 2*beta3*C33 = {disc} <= 0: the spread-factor expectation diverges"))
-    p0 = ois_bond(FactorState(0.0, params.psi0), caplet.T + caplet.delta, params).value
 
     def slack(x, y):
         # (x, y) is in M where kb*x <= w0(y)
@@ -443,6 +451,8 @@ class _SwaptionAssembly:
             np.array(col) for col in
             zip(*(_period_row(swap.T0, k, swap, params) for k in range(1, swap.n + 1))))
         self.rg1 = swap.R * swap.gamma + 1.0
+        if not self.rg1 > 0.0:
+            raise TwoCurveError(f"1 + R * gamma = {self.rg1} <= 0: the fixed leg h has no log form")
         # the exponents of the terms of g(., ., 0) and of h are linear in
         # (1, x, y^2): one matrix, g's periods first
         self.lin = np.concatenate([
@@ -595,4 +605,10 @@ def swaption_price(
         return p0 * _tensor_gl(n, quad, fm, partial(_column_panels, asm),
                                lambda x, y: asm.phi0(x, y) <= 0.0, integrand, swap.n)
 
-    return swap.notional * _refine(estimate, quad)
+    # past the float range (horizons or accruals near 1e300 or 1e-300) the
+    # period terms overflow or lose their boundary root
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return swap.notional * _refine(estimate, quad)
+        except FloatingPointError as exc:
+            raise TwoCurveError(f"swaption on {swap}: {exc} in the exercise integral") from None

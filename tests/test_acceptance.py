@@ -124,6 +124,7 @@ def test_criterion_2_boundary_identities(capsys):
     _report(capsys, "ACCEPTANCE 2 (boundary/identity suite): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_3_forward_measure_moments(capsys):
     """Radon-Nikodym-weighted Monte Carlo reproduces the ODE-integrated
     forward-measure factor means for all three factors; the same runs
@@ -154,6 +155,7 @@ def test_criterion_3_forward_measure_moments(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_fra_factorization(capsys):
     rng = np.random.default_rng(104)
     for draw in range(20):
@@ -212,6 +214,7 @@ def test_criterion_5_swap_routes(capsys):
     _report(capsys, "ACCEPTANCE 5 (swap route equivalence, fair rate, MC): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_6_caplet_triple_agreement(capsys):
     rng = np.random.default_rng(106)
     for draw in range(10):

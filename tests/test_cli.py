@@ -373,6 +373,25 @@ def test_bond_ratios_past_bond_underflow_exit_3(tmp_path, capsys, product, dump,
     assert "TwoCurveError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("product", [
+    {"type": "caplet", "T": 1.0, "delta": 1e300, "R": 0.01},
+    {"type": "cap", "T0": 0.5, "n": 2, "delta": 1e300, "R": 0.01},
+], ids=["caplet", "cap"])
+def test_caplet_accrual_past_bond_underflow_exit_3(tmp_path, capsys, product):
+    assert run(_write(tmp_path, _scenario([product])), str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "TwoCurveError" in err and "accrual delta = 1e+300" in err
+
+
+@pytest.mark.parametrize("b1", [1e-300, 1e300])
+def test_mean_reversion_past_the_closed_forms_exit_3(tmp_path, capsys, b1):
+    # b1^2 underflows to 0 or b1^3 overflows in the closed-form coefficients
+    doc = _scenario([], outputs=[{"curve_dump": {"grid": [0.5, 2.0], "delta": 0.25}}])
+    doc["params"]["b1"] = b1
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 3
+    assert "error: curve_dump at T=0.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("n_paths", 100_000_001),
                                           ("steps_per_year", 1 << 17)])
 def test_mc_size_caps_exit_2(tmp_path, capsys, monkeypatch, field, value):
@@ -417,11 +436,11 @@ def test_unhashable_type_and_undecodable_file_rejected(tmp_path, capsys):
     assert run(str(path), str(tmp_path)) == 2
 
 
-# Values a mutated field takes: non-finite, negative, zero, small, wrongly
-# typed.  Integers stay small, so no example prices with many periods, nodes
-# or paths.
-BAD_VALUES = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 2, True, False, "x",
-              [], [1.0], {}, None]
+# Values a mutated field takes: non-finite, negative, zero, small, large or
+# tiny but finite, wrongly typed.  Integers stay small, so no example prices
+# with many periods, nodes or paths.
+BAD_VALUES = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 2, 1e3, 1e300, 1e-300,
+              True, False, "x", [], [1.0], {}, None]
 FUZZ_PRODUCTS = [
     {"type": "bond", "T": 1.0, "curve": "LIBOR"},
     {"type": "fra", "T": 1.0, "delta": 0.5, "R": 0.01, "notional": 2.0},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from twocurve import (
     RootNotBracketed,
     SwapSpec,
     SwaptionSpec,
+    TwoCurveError,
     caplet_price,
     caplet_region,
     coeffs,
@@ -334,3 +336,12 @@ PINNED_PRICES = [
 @pytest.mark.parametrize("price, spec, pinned", PINNED_PRICES)
 def test_reference_rows_keep_their_prices(params, price, spec, pinned):
     assert abs(price(spec, params) / pinned - 1.0) <= 1e-9
+
+
+def test_caplet_accrual_past_bond_underflow_refused(params):
+    # p(0, 1 + 1e300) is 0 and 1 / pbar overflows: refused before the
+    # integrand, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TwoCurveError, match="accrual delta = 1e\\+300"):
+            caplet_price(CapletSpec(1.0, 1e300, 0.01), params)

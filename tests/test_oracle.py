@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twocurve import (
     SwaptionSpec,
     TwoCurveError,
     caplet_price,
+    coeffs,
     fair_fra_rate,
     forward_moments,
     libor_bond,
@@ -26,7 +28,9 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
-from twocurve.oracle import _make_grid, _run
+from twocurve.oracle import _Reads, _make_grid, _run
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 CFG = McConfig(n_paths=40_000, steps_per_year=64, seed=12345)
 
@@ -160,6 +164,17 @@ def test_grid_past_the_block_budget_refused():
     assert _make_grid([5.0], 512).size == 5121
 
 
+def test_step_scaling_past_the_float_range_refused(params):
+    # the exact steps are scaled by e^{b t}: b1 T = 1000 would overflow it
+    # and leave NaN estimates
+    p = ModelParams(1000.0, params.b2, params.b3, params.sigma1, params.sigma2,
+                    params.sigma3, kappa=params.kappa, psi0=params.psi0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TwoCurveError, match="overflows"):
+            mc_bond(p, 1.0, "OIS", McConfig(n_paths=1000, steps_per_year=8))
+
+
 def test_libor_payoffs_agree_path_by_path(params):
     # one payoff for every Libor product: on the same dates, seed and
     # notional, caplet - floorlet is the FRA, and the FRA is the one-period
@@ -173,15 +188,36 @@ def test_libor_payoffs_agree_path_by_path(params):
         fra, rel=1e-12)
 
 
+@pytest.mark.parametrize("spread", [False, True])
+def test_reads_match_the_simulated_paths(params, spread):
+    # the reads of one block, by matrix product or off the psi2 (and psi3)
+    # path, against the same quantities taken off simulate_paths' paths
+    cfg = McConfig(n_paths=1000, steps_per_year=16, seed=4, antithetic=False)
+    times, psi = simulate_paths(params, 2.0, cfg)
+    at, to = (8, 20), (12, times.size - 1)
+    seen = []
+    _run(params, times, cfg, lambda p, ints: seen.append((p, ints)) or p[0, :, 0],
+         _Reads(at=at, to=to, spread=spread))
+    (p_fine, fine), (p_coarse, coarse) = seen
+    np.testing.assert_allclose(p_fine, psi[:, :, list(at)], rtol=1e-12, atol=1e-16)
+    np.testing.assert_array_equal(p_fine, p_coarse)
+    rate_terms = [psi[0], psi[1] ** 2] + ([psi[2] ** 2] if spread else [])
+    for ints, step in ((fine, 1), (coarse, 2)):
+        want = [[trapezoid(f[:, :k + 1:step], times[:k + 1:step], axis=1) for k in to]
+                for f in rate_terms]
+        np.testing.assert_allclose(ints, np.transpose(want, (0, 2, 1)), rtol=1e-12, atol=1e-16)
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimates_reduce_the_simulated_paths_block_by_block(params, antithetic):
     # the estimators and simulate_paths draw the same blocks: 5000 paths are
     # blocks of 4096 + 904 paths, or 2048 + 452 antithetic pairs, each pair
-    # block followed by its mirror in the ensemble
+    # block followed by its mirror in the ensemble; psi2, which both build
+    # with the one path builder, is read at the horizon
     cfg = McConfig(n_paths=5000, steps_per_year=16, seed=21, antithetic=antithetic)
     times, psi = simulate_paths(params, 1.0, cfg)
-    est = _run(params, times, cfg, lambda ts, p: p[0, :, -1])
-    x = psi[0, :, -1]
+    est = _run(params, times, cfg, lambda p, ints: p[1, :, 0], _Reads(at=(times.size - 1,)))
+    x = psi[1, :, -1]
     s1, start = 0.0, 0
     for n in ([2048, 452] if antithetic else [4096, 904]):
         if antithetic:
@@ -194,3 +230,58 @@ def test_estimates_reduce_the_simulated_paths_block_by_block(params, antithetic)
     assert start == x.size == 5000
     assert est.mean == s1 / (2500 if antithetic else 5000)
     assert est.n_paths == 5000
+
+
+# (mean, std_error, bias_proxy, n_paths) of each estimator at 4096 paths,
+# 32 steps a year and seed 2026: the path builder may change rounding, never
+# the draws or what is estimated
+_PIN_CFG = dict(n_paths=4096, steps_per_year=32, seed=2026)
+_PINS = {
+    ("ois_bond", False): (0.9841575748064016, 0.00017731175766814823, 5.538381886438515e-08, 4096),
+    ("libor_bond", False): (0.9777894055424915, 0.00022836311112445595, 5.6869284947858034e-08, 4096),
+    ("fra", False): (-0.00031839324216778435, 7.154693388318942e-05, 1.026272326669353e-09, 4096),
+    ("swap", False): (0.0008084687214502003, 0.00012576411039389392, 5.834858116744897e-09, 4096),
+    ("caplet", False): (0.0012377916637028798, 3.457262844976502e-05, 4.862987332699548e-10, 4096),
+    ("floorlet", False): (0.002543013578804672, 4.9021379723908726e-05, 8.637258482220578e-10, 4096),
+    ("swaption", False): (0.003086915986438633, 6.305401368354206e-05, 3.8151281786524827e-10, 4096),
+    ("forward", False): (1.0047274472069048, 6.35956311888173e-05, 3.291425885176835e-07, 4096),
+    ("ois_bond", True): (0.9841092387059731, 1.2744169140197535e-05, 3.131788038901462e-07, 4096),
+    ("libor_bond", True): (0.9777015154912183, 1.4713694623208758e-05, 4.4714902991405125e-07, 4096),
+    ("fra", True): (-0.00020937254620291326, 4.5384145096188055e-06, 6.0924372527709596e-09, 4096),
+    ("swap", True): (0.0009201725142122287, 7.158166985652157e-06, 6.032077561621621e-09, 4096),
+    ("caplet", True): (0.0012822176557313872, 2.879920246192563e-05, 3.761374304253953e-09, 4096),
+    ("floorlet", True): (0.0024783530986382096, 2.9502370382226902e-05, 1.943235666997112e-09, 4096),
+    ("swaption", True): (0.003104479671729999, 4.1885781829364354e-05, 9.086157266684214e-09, 4096),
+    ("forward", True): (1.004790833296467, 4.48320015599843e-06, 2.923051658498821e-07, 4096),
+}
+
+
+def _pinned_estimate(params, name, config):
+    cb = coeffs.bundle(1.0, 1.5, params)
+
+    def recip_libor_bond(psi):
+        return np.exp(cb.A_bar + cb.B1_bar * psi[0] + cb.C22 * psi[1] ** 2
+                      + cb.C33_bar * psi[2] ** 2)
+
+    swap = SwapSpec(0.5, 4, 0.25, 0.01)
+    cap = CapletSpec(1.0, 0.5, 0.012)
+    return {
+        "ois_bond": lambda: mc_bond(params, 2.0, "OIS", config),
+        "libor_bond": lambda: mc_bond(params, 2.0, "LIBOR", config),
+        "fra": lambda: mc_price(params, FraSpec(1.0, 0.5, 0.01), config),
+        "swap": lambda: mc_price(params, swap, config),
+        "caplet": lambda: mc_price(params, cap, config),
+        "floorlet": lambda: mc_price(params, cap, config, floorlet=True),
+        "swaption": lambda: mc_price(params, SwaptionSpec(swap), config),
+        "forward": lambda: mc_forward_expectation(params, 1.0, 1.5, recip_libor_bond, config),
+    }[name]()
+
+
+@pytest.mark.parametrize("name, antithetic", list(_PINS))
+def test_estimates_are_pinned(params, name, antithetic):
+    mean, se, bias, n_paths = _PINS[name, antithetic]
+    est = _pinned_estimate(params, name, McConfig(antithetic=antithetic, **_PIN_CFG))
+    assert est.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+    assert abs(est.bias_proxy - bias) <= 1e-15
+    assert est.n_paths == n_paths
