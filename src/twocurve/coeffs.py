@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import InvalidTimeOrder
 from .model import ModelParams
@@ -113,36 +112,34 @@ def b1_dT(t: float, T: float, params: ModelParams) -> float:
     return math.exp(-params.b1 * (T - t))
 
 
+# Taylor coefficients of the integral of B1^2 over [0, tau] in x = b1 tau,
+# divided by tau^3: (-1)^j (2^{j+2} - 2) / (j+3)!, highest power first; at
+# x = 0.5 the first term left out is 5e-18 of the sum
+_B1_SQ_SERIES = tuple((-1) ** j * (2 ** (j + 2) - 2) / math.factorial(j + 3)
+                      for j in reversed(range(17)))
+
+
 def b1_sq_integral(t: float, T: float, params: ModelParams) -> float:
-    """Closed form of the integral of B1(u, T)^2 over u in [t, T]."""
+    """Integral of B1(u, T)^2 over u in [t, T].
+
+    The closed form (tau - 2 B1 - (1 - e^{-2x}) / (2 b1)) / b1^2, x = b1 tau,
+    forms a value of order tau^3 / 3 from terms of order tau, so below
+    x = 0.5 the series in x takes over."""
     tau = _check_order(t, T)
     b = params.b1
-    btau = b1(t, T, params)
-    return (tau - 2.0 * btau - math.expm1(-2.0 * b * tau) / (2.0 * b)) / (b * b)
-
-
-def _a_integrands(params: ModelParams) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    s1sq, s2sq, s3sq = params.sigma1 ** 2, params.sigma2 ** 2, params.sigma3 ** 2
-    kp1sq = (1.0 + params.kappa) ** 2
-
-    def f_a(tau: float) -> float:
-        bb = -math.expm1(-params.b1 * tau) / params.b1
-        return s2sq * _riccati_closed(tau, params.b2, params.sigma2) - 0.5 * s1sq * bb * bb
-
-    def f_abar(tau: float) -> float:
-        bb = -math.expm1(-params.b1 * tau) / params.b1
-        return (
-            s2sq * _riccati_closed(tau, params.b2, params.sigma2)
-            + s3sq * _riccati_closed(tau, params.b3, params.sigma3)
-            - 0.5 * s1sq * kp1sq * bb * bb
-        )
-
-    return f_a, f_abar
+    # a Python float: numpy scalar arithmetic would triple the series' cost
+    x = float(b * tau)
+    if x < 0.5:
+        s = 0.0
+        for a in _B1_SQ_SERIES:
+            s = s * x + a
+        return s * tau ** 3
+    return (tau - 2.0 * b1(t, T, params) - math.expm1(-2.0 * x) / (2.0 * b)) / (b * b)
 
 
 def a_pair(t: float, T: float, params: ModelParams) -> tuple[float, float]:
-    """(A, Abar) at (t, T): the integrals over [t, T] of the integrands in
-    _a_integrands, term by term in closed form."""
+    """(A, Abar) at (t, T): the integrals over [t, T] of a_dT and a_bar_dT,
+    term by term in closed form."""
     tau = _check_order(t, T)
     a2 = params.sigma2 ** 2 * riccati_integral(tau, params.b2, params.sigma2)
     a3 = params.sigma3 ** 2 * riccati_integral(tau, params.b3, params.sigma3)
@@ -158,14 +155,16 @@ def a_tilde(t: float, T: float, params: ModelParams) -> float:
 
 def a_dT(t: float, T: float, params: ModelParams) -> float:
     """d/dT of A: the integrand depends on T - u only, so this is the integrand
-    evaluated at tau = T - t."""
-    tau = _check_order(t, T)
-    return _a_integrands(params)[0](tau)
+    sigma2^2 C22 - 1/2 sigma1^2 B1^2 evaluated at (t, T)."""
+    bb = b1(t, T, params)
+    return params.sigma2 ** 2 * c22(t, T, params) - 0.5 * params.sigma1 ** 2 * bb * bb
 
 
 def a_bar_dT(t: float, T: float, params: ModelParams) -> float:
-    tau = _check_order(t, T)
-    return _a_integrands(params)[1](tau)
+    """d/dT of Abar: sigma2^2 C22 + sigma3^2 C33bar - 1/2 sigma1^2 B1bar^2."""
+    bb = b1(t, T, params)
+    return (params.sigma2 ** 2 * c22(t, T, params) + params.sigma3 ** 2 * c33_bar(t, T, params)
+            - 0.5 * params.sigma1 ** 2 * (1.0 + params.kappa) ** 2 * bb * bb)
 
 
 @dataclass(frozen=True)

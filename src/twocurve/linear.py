@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from . import coeffs
 from .curves import _bond_value, ois_bond
 from .errors import ExpectationSingularity, InvalidTimeOrder, TwoCurveError
-from .measures import gaussian_exp_quadratic, q_conditional_law
+from .measures import (_exp_quadratic, _ou_moments, _psi1_drift, gaussian_exp_quadratic,
+                       q_conditional_law)
 from .model import FactorState, ModelParams
 
 __all__ = [
@@ -136,12 +137,11 @@ def adjustment(state: FactorState, T: float, delta: float, params: ModelParams) 
 
 
 def residual(t: float, T: float, delta: float, params: ModelParams) -> float:
-    """Deterministic residual factor of the vbar = v * Ad * Res decomposition."""
-    b = params.b1
-    e_delta = -math.expm1(-b * delta)
-    e_tau = -math.expm1(-b * (T - t))
+    """Deterministic residual factor of the vbar = v * Ad * Res decomposition:
+    exp(-1/2 kappa sigma1^2 B1(T, T+delta) B1(t, T)^2)."""
+    b_tau = coeffs.b1(t, T, params)
     return math.exp(
-        -params.kappa * params.sigma1 ** 2 / (2.0 * b ** 3) * e_delta * e_tau * e_tau
+        -0.5 * params.kappa * params.sigma1 ** 2 * coeffs.b1(T, T + delta, params) * b_tau * b_tau
     )
 
 
@@ -175,27 +175,26 @@ def expectation_coeffs(
     rho2 = -C22_k, rho3 = -C33bar_k, Gamma_i = 0.  Away from the boundary
     every coefficient is closed form (tau = T_{k-1} - t):
 
-    - rho1 decays as e^{-b1 tau}; Gamma1 integrates exponentials;
+    - rho1 and Gamma1 are the Gaussian MGF of psi1 over the OU transition of
+      length tau, its mean shifted by the T_k-forward drift
+      (measures._psi1_drift);
     - rho2(t) = C22(t, T_{k-1}) - C22(t, T_k) solves the rho2 Riccati, and
       Gamma2 is -sigma2^2 times its time-integral, read off riccati_integral;
-    - rho3 and Gamma3 are the Gaussian expectation of exp(-C33bar_k psi3^2)
-      over the OU transition of length tau.
+    - rho3 and Gamma3 are the Gaussian expectation of exp(C33bar_k psi3^2)
+      over the OU transition of length tau (measures._exp_quadratic), whose
+      pole raises ExpectationSingularity.
     """
     t_fix = swap.fix_date(k)
     t_pay = swap.pay_date(k)
     if t > t_fix:
         raise InvalidTimeOrder(t, t_fix)
     tau = t_fix - t
-    c33_k = coeffs.c33_bar(t_fix, t_pay, params)
+    cb_k = coeffs.bundle(t_fix, t_pay, params)
+    c33_k, kb = cb_k.C33_bar, cb_k.B1_bar
 
-    b1_, s1sq = params.b1, params.sigma1 ** 2
-    kb = (1.0 + params.kappa) * coeffs.b1(t_fix, t_pay, params)
-    rho1 = -kb * math.exp(-b1_ * tau)
-    e1 = -math.expm1(-b1_ * tau)
-    e2 = -math.expm1(-2.0 * b1_ * tau)
-    gamma1 = s1sq * kb / b1_ * (
-        0.25 * kb * e2 - (e1 - 0.5 * math.exp(-b1_ * (t_pay - t_fix)) * e2) / b1_
-    )
+    m1, v1 = _ou_moments(1.0, params.b1, params.sigma1, tau)
+    rho1 = -kb * m1
+    gamma1 = kb * (0.5 * kb * v1 - params.sigma1 ** 2 * _psi1_drift(tau, t_pay - t_fix, params.b1))
 
     rho2 = coeffs.c22(t, t_fix, params) - coeffs.c22(t, t_pay, params)
     b2_, s2_ = params.b2, params.sigma2
@@ -205,15 +204,11 @@ def expectation_coeffs(
         + coeffs.riccati_integral(t_pay - t_fix, b2_, s2_)
     )
 
-    b3_ = params.b3
-    beta3 = params.sigma3 ** 2 * -math.expm1(-2.0 * b3_ * tau) / (2.0 * b3_)
-    denom = 1.0 - 2.0 * c33_k * beta3
-    if denom <= 0.0:
-        raise ExpectationSingularity(
-            f"rho3 pole inside [{t}, {t_fix}]: psi3 expectation is infinite"
-        )
-    rho3 = -c33_k * math.exp(-2.0 * b3_ * tau) / denom
-    gamma3 = -0.5 * math.log1p(-2.0 * c33_k * beta3)
+    # the law of psi3(T_{k-1}) from psi3(t) = 1: q3 scales as psi3(t)^2
+    q3, d3 = _exp_quadratic(*_ou_moments(1.0, params.b3, params.sigma3, tau), c33_k,
+                            lambda d: ExpectationSingularity(
+                                f"rho3 pole inside [{t}, {t_fix}]: psi3 expectation is infinite"))
+    rho3, gamma3 = -q3, -0.5 * math.log(d3)
     return ExpectationCoeffs(rho1, rho2, rho3, gamma1, gamma2, gamma3, k)
 
 
@@ -223,7 +218,7 @@ def _period_row(t: float, k: int, swap: SwapSpec, params: ModelParams) -> tuple:
     = d0 exp(-A - (B1+rho1) psi1 - (C22+rho2) psi2^2 - rho3 psi3^2)."""
     t_pay = swap.pay_date(k)
     cb = coeffs.bundle(t, t_pay, params)
-    a_bar_k = coeffs.a_pair(swap.fix_date(k), t_pay, params)[1]
+    a_bar_k = coeffs.bundle(swap.fix_date(k), t_pay, params).A_bar
     ec = expectation_coeffs(t, k, swap, params)
     return (a_bar_k + ec.gamma1 + ec.gamma2 + ec.gamma3, cb.A, cb.B1 + ec.rho1,
             cb.C22 + ec.rho2, ec.rho3, cb.B1, cb.C22)

@@ -5,7 +5,8 @@ of the three Gaussian factors at expiry; the swaption's is the swap's value
 at T0, g - h, from the per-period rows linear.swap_price uses
 (linear._period_row).  Outside the exercise boundary |z| = zbar(x, y) the
 spread factor z integrates in closed Gaussian form, for both products
-through the same tilted laws (_z_tilt) and tail sum (_z_tail).
+through the same tilted laws (_z_tilt, from measures._exp_quadratic, as
+for the linear pricers) and tail sum (_z_tail); neither prices sigma3 = 0.
 The (x, y) integral is one tensor Gauss-Legendre kernel for both products
 (_tensor_gl) on a +/- truncation standard-deviation box, each y-row's
 x-line split where the exercise function at z = 0 crosses the strike.  On
@@ -36,6 +37,7 @@ from .curves import ois_bond
 from .errors import (
     CapletConditionViolated,
     DegenerateSpreadFactor,
+    ExpectationSingularity,
     InvalidTimeOrder,
     MixedCase,
     MomentExplosion,
@@ -43,8 +45,8 @@ from .errors import (
     RootNotBracketed,
     TwoCurveError,
 )
-from .linear import FraSpec, SwapSpec, _period_row, fra_price
-from .measures import forward_moments
+from .linear import FraSpec, SwapSpec, _period_row, expectation_coeffs, fra_price
+from .measures import _exp_quadratic, forward_moments
 from .model import FactorState, ModelParams
 
 __all__ = [
@@ -230,18 +232,20 @@ def _refine(estimate, quad: QuadratureConfig) -> float:
 
 def _z_tilt(c, fm, error):
     """(sq, gam, shift), shape (len(c), 1), of the factors exp(c_k z^2) with z ~
-    N(a3, b3) the spread factor's law in fm: sq = sqrt(1 - 2 b3 c_k), gam =
-    E[exp(c_k z^2)] and the tilted law exp(c_k z^2) N(a3, b3) / gam = N(shift/sq,
-    b3/sq^2).  The first k with 1 - 2 b3 c_k <= 0 raises error(k, 1 - 2 b3 c_k)."""
-    c = np.atleast_1d(c)
+    N(a3, b3) the spread factor's law in fm (measures._exp_quadratic): sq =
+    sqrt(d_k), gam = E[exp(c_k z^2)], tilted law N(shift/sq, b3/sq^2).  A pole
+    d_k <= 0 raises error(k, d_k); b3 = 0, a point mass whose kink the panel
+    cuts miss, DegenerateSpreadFactor."""
     a3, b3v = fm.alpha[2], fm.beta[2]
-    disc = 1.0 - 2.0 * b3v * c
-    if np.any(disc <= 0.0):
-        k = int(np.argmax(disc <= 0.0))
-        raise error(k, disc[k])
-    sq = np.sqrt(disc)[:, None]
-    theta = a3 * (1.0 - 1.0 / sq) / b3v
-    return sq, np.exp(0.5 * theta * theta * b3v - a3 * theta) / sq, a3 - theta * b3v
+    if b3v == 0.0:
+        raise DegenerateSpreadFactor(
+            f"the spread factor has zero variance at {fm.t} (sigma3 = 0): the option "
+            "pricers need sigma3 > 0")
+    rows = [_exp_quadratic(a3, b3v, ck, partial(error, k))
+            for k, ck in enumerate(np.atleast_1d(c))]
+    q, d = np.array(rows).T[:, :, None]
+    sq = np.sqrt(d)
+    return sq, np.exp(q) / sq, a3 / sq
 
 
 def _z_tail(ge, h, z2, sq, shift, fm):
@@ -304,13 +308,17 @@ def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
 # caplet
 
 
-def _caplet_coeffs(caplet: CapletSpec, params: ModelParams):
+def _caplet_slack(caplet: CapletSpec, params: ModelParams):
+    """(coefficient bundle, kb, slack): (x, y) is in the continuation set M
+    where slack(x, y) = log Rtilde - Abar - C22 y^2 - kb x >= 0, kb = (1+kappa)
+    B1, and there the z-roots are +/- sqrt(slack / C33)."""
     cb = coeffs.bundle(caplet.T, caplet.T + caplet.delta, params)
     if cb.C33_bar == 0.0:
         raise DegenerateSpreadFactor(
             "C33 coefficient vanishes over the accrual period"
         )
-    return cb
+    kb, w0 = (1.0 + params.kappa) * cb.B1, math.log(caplet.r_tilde) - cb.A_bar
+    return cb, kb, lambda x, y: w0 - cb.C22 * y * y - kb * x
 
 
 def caplet_region(
@@ -323,16 +331,11 @@ def caplet_region(
     is even and increasing in |z|, so membership reduces to the value at
     z = 0 and the roots are +/- sqrt(slack / C33).
     """
-    cb = _caplet_coeffs(caplet, params)
-    slack = (
-        math.log(caplet.r_tilde)
-        - cb.A_bar
-        - (1.0 + params.kappa) * cb.B1 * x
-        - cb.C22 * y * y
-    )
-    if slack < 0.0:
+    cb, _, slack = _caplet_slack(caplet, params)
+    w = slack(x, y)
+    if w < 0.0:
         return RegionBoundary(in_region=False)
-    z2 = math.sqrt(slack / cb.C33_bar)
+    z2 = math.sqrt(w / cb.C33_bar)
     return RegionBoundary(in_region=True, z1=-z2, z2=z2)
 
 
@@ -356,19 +359,12 @@ def caplet_price(
     if p0 < sys.float_info.min:
         raise TwoCurveError(f"caplet accrual delta = {caplet.delta}: p(0, {t_pay}) = {p0} "
                             "underflows, no caplet price")
-    cb = _caplet_coeffs(caplet, params)
-    c33 = cb.C33_bar
-    kb = (1.0 + params.kappa) * cb.B1
-    r_t = caplet.r_tilde
-    ln_rt = math.log(r_t)
+    cb, kb, slack = _caplet_slack(caplet, params)
+    c33, r_t = cb.C33_bar, caplet.r_tilde
 
     fm = forward_moments(caplet.T, caplet.T + caplet.delta, params)
     sq, gam, shift = _z_tilt(c33, fm, lambda k, disc: CapletConditionViolated(
         f"1 - 2*beta3*C33 = {disc} <= 0: the spread-factor expectation diverges"))
-
-    def slack(x, y):
-        # (x, y) is in M where kb*x <= w0(y)
-        return ln_rt - cb.A_bar - cb.C22 * y * y - kb * x
 
     def cuts(ys, x_lo, x_hi):
         if kb == 0.0:
@@ -410,35 +406,37 @@ def floorlet_price(
 
 
 def _swaption_period_rho3(t: float, k: int, swap: SwapSpec, params: ModelParams) -> float:
-    """rho3(t, period k) = -C33bar_k e^{-2 b3 tau} / (1 - 2 C33bar_k beta3),
-    tau = T_{k-1} - t, without the pole screening of expectation_coeffs:
-    past the pole it turns positive, which the case classification reads."""
-    t_fix = swap.fix_date(k)
-    c33_k = coeffs.c33_bar(t_fix, swap.pay_date(k), params)
-    b3, tau = params.b3, t_fix - t
-    denom = 1.0 + c33_k * params.sigma3 ** 2 * math.expm1(-2.0 * b3 * tau) / b3
-    if denom == 0.0:
-        raise MomentExplosion("rho3 pole at the evaluation time")
-    return -c33_k * math.exp(-2.0 * b3 * tau) / denom
+    """rho3(t, period k) of expectation_coeffs; past the pole, where it would
+    turn positive, ExpectationSingularity."""
+    return expectation_coeffs(t, k, swap, params).rho3
+
+
+def _period_rows(swap: SwapSpec, params: ModelParams) -> list:
+    """linear._period_row at T0 for every period.  A pole of a period's psi3
+    expectation inside [T0, T_{k-1}] is exactly a positive rho3(T0, k), so
+    it raises MixedCase."""
+    try:
+        return [_period_row(swap.T0, k, swap, params) for k in range(1, swap.n + 1)]
+    except ExpectationSingularity:
+        raise MixedCase(
+            "periods fall in both monotonicity cases; the semi-closed pricer "
+            "requires a uniform sign of rho3 across periods"
+        ) from None
 
 
 def swaption_case(swap: SwapSpec, params: ModelParams) -> str:
     """Classify the swaption by the sign of the spread-factor exponent
     rho3(T0, .) across periods: "case1" when all are negative (payoff
     convex in |z|).  That is the only attainable case, because the first
-    period's exponent is -C33bar(T0, T1) < 0; mixed signs are refused."""
-    if any(_swaption_period_rho3(swap.T0, k, swap, params) > 0.0
-           for k in range(1, swap.n + 1)):
-        raise MixedCase(
-            "periods fall in both monotonicity cases; the semi-closed pricer "
-            "requires a uniform sign of rho3 across periods"
-        )
+    period's exponent is -C33bar(T0, T1) < 0; mixed signs are refused
+    (MixedCase, from _period_rows)."""
+    _period_rows(swap, params)
     return "case1"
 
 
 class _SwaptionAssembly:
-    """Per-period coefficients (linear._period_row at T0) of the exercise
-    functions g and h:
+    """Per-period coefficients (_period_rows, which refuses mixed cases) of
+    the exercise functions g and h:
 
         g(x, y, z) = sum_k d0_k exp(-a0_k - b1t_k x - c22t_k y^2 - c33t_k z^2)
         h(x, y)    = rg1 sum_k exp(-a0_k - b1_k x - c22_k y^2)
@@ -448,8 +446,7 @@ class _SwaptionAssembly:
     def __init__(self, swap: SwapSpec, params: ModelParams):
         self.swap = swap
         log_d0, self.a0, self.b1t, self.c22t, self.c33t, self.b1, self.c22 = (
-            np.array(col) for col in
-            zip(*(_period_row(swap.T0, k, swap, params) for k in range(1, swap.n + 1))))
+            np.array(col) for col in zip(*_period_rows(swap, params)))
         self.rg1 = swap.R * swap.gamma + 1.0
         if not self.rg1 > 0.0:
             raise TwoCurveError(f"1 + R * gamma = {self.rg1} <= 0: the fixed leg h has no log form")
@@ -515,16 +512,10 @@ def _boundary_root(asm: _SwaptionAssembly, x, y):
     )
 
 
-def swaption_region(
-    x: float, y: float, swap: SwapSpec, params: ModelParams, case: str | None = None
-) -> RegionBoundary:
+def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> RegionBoundary:
     """Membership of (x, y) in the set where the time-T0 swap value at z = 0
-    is at or below the fixed leg, plus the boundary roots there.  case, when
-    given, must be "case1" (the only attainable case, see swaption_case)."""
-    if case is None:
-        case = swaption_case(swap, params)
-    if case != "case1":
-        raise ValueError(f"only case1 swaptions are attainable, got {case!r}")
+    is at or below the fixed leg, plus the boundary roots there; mixed
+    cases raise MixedCase (see swaption_case)."""
     asm = _SwaptionAssembly(swap, params)
     if float(asm.phi0(x, y)) > 0.0:
         return RegionBoundary(in_region=False)
@@ -583,7 +574,6 @@ def swaption_price(
     swap = spec.swap
     if swap.T0 <= 0.0:
         raise InvalidTimeOrder(swap.T0, 0.0)
-    swaption_case(swap, params)
     asm = _SwaptionAssembly(swap, params)
 
     fm = forward_moments(swap.T0, swap.T0, params)

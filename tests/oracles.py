@@ -16,11 +16,17 @@ The swaption oracle integrates z by nodes outside +/- z2, so each of its
 x-panels meets the same slack^{3/2} growth from a cut as the library's
 closed-form z-tail and converges like n^-5: about 2e-10 relative at its
 default 96 nodes, inside the 1e-7 its tests ask.
+
+The psi1 closed forms (the integral of B1^2, the forward drift and the FRA
+residual) have decimal references: each is evaluated in the textbook form
+that cancels as b1 -> 0, at a precision that grows with the digits the
+cancellation costs.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -356,3 +362,39 @@ def swaption_z_quadrature(spec, params, n: int = 96, n_z: int = 64, trunc: float
             total += wy * float(np.sum(wxs * pdf(xs, a1, s1) * col))
     p0 = ois_bond(FactorState(0.0, params.psi0), swap.T0, params).value
     return swap.notional * p0 * total
+
+
+def _decimal_digits(x: float) -> int:
+    """Working digits for a form that cancels like x^3 as x -> 0."""
+    return 40 + 3 * max(0, -math.floor(math.log10(x)))
+
+
+def b1_sq_integral_decimal(tau: float, b: float) -> float:
+    """Integral of B1(u)^2 over [0, tau] as
+    tau^3 (x - 3/2 + 2 e^{-x} - e^{-2x} / 2) / x^3, x = b tau."""
+    with localcontext() as ctx:
+        ctx.prec = _decimal_digits(b * tau)
+        x = Decimal(b) * Decimal(tau)
+        num = x - Decimal(1.5) + 2 * (-x).exp() - (-2 * x).exp() / 2
+        return float(Decimal(tau) ** 3 * num / x ** 3)
+
+
+def psi1_drift_decimal(tau: float, delta: float, b: float) -> float:
+    """Integral over s in [0, tau] of e^{-b s} B1(s + delta) as
+    (1 - e^{-b tau} - e^{-b delta} (1 - e^{-2 b tau}) / 2) / b^2."""
+    with localcontext() as ctx:
+        ctx.prec = _decimal_digits(b * tau)
+        bd, y = Decimal(b), Decimal(b) * Decimal(tau)
+        num = 1 - (-y).exp() - (-bd * Decimal(delta)).exp() * (1 - (-2 * y).exp()) / 2
+        return float(num / (bd * bd))
+
+
+def residual_decimal(tau: float, delta: float, params) -> float:
+    """The FRA residual exp(-kappa sigma1^2 (1 - e^{-b delta}) (1 - e^{-b tau})^2 / (2 b^3))."""
+    b = params.b1
+    with localcontext() as ctx:
+        ctx.prec = _decimal_digits(b * min(tau, delta))
+        bd = Decimal(b)
+        e_delta, e_tau = 1 - (-bd * Decimal(delta)).exp(), 1 - (-bd * Decimal(tau)).exp()
+        k = Decimal(params.kappa) * Decimal(params.sigma1) ** 2
+        return float((-k * e_delta * e_tau * e_tau / (2 * bd ** 3)).exp())

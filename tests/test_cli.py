@@ -384,12 +384,25 @@ def test_caplet_accrual_past_bond_underflow_exit_3(tmp_path, capsys, product):
 
 
 @pytest.mark.parametrize("b1", [1e-300, 1e300])
-def test_mean_reversion_past_the_closed_forms_exit_3(tmp_path, capsys, b1):
-    # b1^2 underflows to 0 or b1^3 overflows in the closed-form coefficients
-    doc = _scenario([], outputs=[{"curve_dump": {"grid": [0.5, 2.0], "delta": 0.25}}])
-    doc["params"]["b1"] = b1
-    assert run(_write(tmp_path, doc), str(tmp_path)) == 3
-    assert "error: curve_dump at T=0.5" in capsys.readouterr().err
+def test_mean_reversion_at_the_float_range_prices(tmp_path, b1):
+    # b1 -> 0 and b1 -> inf are smooth limits of the closed-form
+    # coefficients: the curves at 1e-300 and 1e300 agree with 1e-12 and 1e12
+    near = 1e-12 if b1 < 1.0 else 1e12
+
+    def curves(b):
+        doc = _scenario([], outputs=[{"curve_dump": {"grid": [0.5, 2.0], "delta": 0.25}}])
+        doc["params"]["b1"] = b
+        out = tmp_path / str(b)
+        out.mkdir()
+        assert run(_write(out, doc), str(out)) == 0
+        with open(out / "curves.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    rows, ref = curves(b1), curves(near)
+    assert len(rows) == len(ref) == 2
+    for row, row_ref in zip(rows, ref):
+        for key, value in row.items():
+            assert float(value) == pytest.approx(float(row_ref[key]), abs=1e-12)
 
 
 @pytest.mark.parametrize("field, value", [("n_paths", 100_000_001),

@@ -1,13 +1,16 @@
 """Closed-form expectation coefficients, A/Abar and forward moments against
-the independent RK4/Simpson oracles."""
+the independent RK4/Simpson oracles, and the psi1 closed forms against
+decimal references down to b1 = 1e-300."""
 
 import math
 
 import numpy as np
 import pytest
 
-from twocurve import ModelParams, SwapSpec, coeffs, expectation_coeffs, forward_moments
-from oracles import forward_moments_rk4, rho_riccati_rk4, rk4_backward, simpson_adaptive
+from twocurve import ModelParams, SwapSpec, coeffs, expectation_coeffs, forward_moments, residual
+from twocurve.measures import _psi1_drift
+from oracles import (b1_sq_integral_decimal, forward_moments_rk4, psi1_drift_decimal,
+                     residual_decimal, rho_riccati_rk4, rk4_backward, simpson_adaptive)
 from conftest import random_params
 
 COEF_TOL = dict(rel=1e-9, abs=1e-12)
@@ -78,7 +81,8 @@ def test_a_pair_vs_simpson_short_and_long_horizons():
     rng = np.random.default_rng(41)
     for _ in range(3):
         p = random_params(rng)
-        f_a, f_abar = coeffs._a_integrands(p)
+        # the integrands of A and Abar at tau = T - t
+        f_a, f_abar = (lambda u: coeffs.a_dT(0.0, u, p)), (lambda u: coeffs.a_bar_dT(0.0, u, p))
         for tau in (1e-3, 0.1, 30.0):
             a, abar = coeffs.a_pair(1.0, 1.0 + tau, p)
             assert a == pytest.approx(simpson_adaptive(f_a, 0.0, tau), rel=1e-9, abs=1e-15)
@@ -102,3 +106,20 @@ def test_forward_moments_finite_at_long_horizon():
     fm = forward_moments(99.0, 100.0, p)
     assert all(math.isfinite(x) for x in fm.alpha + fm.beta)
     assert fm.beta[1] > 0.0
+
+
+@pytest.mark.parametrize("b1", [1e-300, 1e-100, 1e-20, 1e-12, 1e-8, 1e-6, 1e-5, 1e-4,
+                                1e-2, 0.05, 0.5, 2.0, 10.0, 1e3])
+def test_psi1_closed_forms_vs_decimal_down_to_b1_limit(b1):
+    # the integral of B1^2, the forward drift and the FRA residual, each of
+    # which divided a cancelling form by b1^2 or b1^3 before
+    p = ModelParams(b1, 0.3, 0.4, 0.05, 0.02, 0.015, kappa=1.0)
+    for tau in (1e-6, 1e-3, 0.1, 0.5, 1.0, 5.0, 50.0):
+        got = coeffs.b1_sq_integral(0.0, tau, p)
+        assert got == pytest.approx(b1_sq_integral_decimal(tau, b1), rel=1e-13, abs=0.0)
+        for delta in (0.0, 0.25, 10.0):
+            got = _psi1_drift(tau, delta, b1)
+            assert got == pytest.approx(psi1_drift_decimal(tau, delta, b1), rel=1e-13, abs=0.0)
+        for delta in (0.25, 1.0):
+            got = residual(0.0, tau, delta, p)
+            assert got == pytest.approx(residual_decimal(tau, delta, p), rel=1e-13, abs=0.0)

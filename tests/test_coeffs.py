@@ -92,7 +92,8 @@ def test_a_quadrature_vs_simpson():
     rng = np.random.default_rng(42)
     for _ in range(5):
         p = random_params(rng)
-        f_a, f_abar = coeffs._a_integrands(p)
+        # the integrands of A and Abar at tau = T - t
+        f_a, f_abar = (lambda u: coeffs.a_dT(0.0, u, p)), (lambda u: coeffs.a_bar_dT(0.0, u, p))
         tau = rng.uniform(0.5, 6.0)
         a, abar = coeffs.a_pair(0.0, tau, p)
         assert a == pytest.approx(simpson_adaptive(f_a, 0.0, tau), rel=1e-9, abs=1e-13)

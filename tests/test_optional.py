@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from twocurve import (
     CapletConditionViolated,
     CapletSpec,
+    DegenerateSpreadFactor,
     FactorState,
     FraSpec,
     MixedCase,
@@ -26,6 +28,7 @@ from twocurve import (
     forward_moments,
     fra_price,
     swap_price,
+    swap_price_via_fras,
     swaption_case,
     swaption_price,
     swaption_region,
@@ -214,7 +217,7 @@ class TestSwaptionRegion:
 
     def test_plug_back(self, params):
         swap = SwapSpec(0.5, 4, 0.25, 0.012)
-        rb = swaption_region(-0.05, 0.01, swap, params, "case1")
+        rb = swaption_region(-0.05, 0.01, swap, params)
         if rb.in_region:
             from twocurve.optional import _SwaptionAssembly
 
@@ -226,8 +229,8 @@ class TestSwaptionRegion:
 
     def test_membership_threshold(self, params):
         swap = SwapSpec(0.5, 4, 0.25, 0.012)
-        assert swaption_region(-0.5, 0.0, swap, params, "case1").in_region
-        assert not swaption_region(0.5, 0.0, swap, params, "case1").in_region
+        assert swaption_region(-0.5, 0.0, swap, params).in_region
+        assert not swaption_region(0.5, 0.0, swap, params).in_region
 
 
 @pytest.mark.parametrize("n_periods", [1, 4, 20])
@@ -345,3 +348,38 @@ def test_caplet_accrual_past_bond_underflow_refused(params):
         warnings.simplefilter("error")
         with pytest.raises(TwoCurveError, match="accrual delta = 1e\\+300"):
             caplet_price(CapletSpec(1.0, 1e300, 0.01), params)
+
+
+def _small_b1_prices(b1: float):
+    p = ModelParams(b1, 0.3, 0.4, 0.01, 0.02, 0.015, kappa=0.3, psi0=(0.01, 0.05, 0.05))
+    s, swap = FactorState(0.0, p.psi0), SwapSpec(1.0, 4, 0.25, 0.01)
+    return (swap_price(s, swap, p), swap_price_via_fras(s, swap, p),
+            caplet_price(CapletSpec(1.0, 0.5, 0.01), p),
+            swaption_price(SwaptionSpec(SwapSpec(0.5, 4, 0.25, 0.01)), p))
+
+
+@pytest.mark.parametrize("b1", [1e-6, 1e-8, 1e-10, 1e-14, 1e-300])
+def test_small_b1_is_a_smooth_limit(b1):
+    # the two swap routes agree, and the option prices approach their
+    # b1 -> 0 limit at the rate b1 (their slope in b1 is about 1.7 here)
+    swap, via_fras, caplet, swaption = _small_b1_prices(b1)
+    assert swap == pytest.approx(via_fras, rel=1e-12, abs=0.0)
+    _, _, caplet_ref, swaption_ref = _small_b1_prices(1e-12)
+    tol = 1e-9 + 4.0 * b1
+    assert caplet == pytest.approx(caplet_ref, rel=tol, abs=0.0)
+    assert swaption == pytest.approx(swaption_ref, rel=tol, abs=0.0)
+
+
+def test_deterministic_spread_factor_refused_by_options(params, state):
+    # sigma3 = 0 leaves psi3 a point mass: the option pricers refuse it by
+    # name, while the linear products keep pricing
+    p = dataclasses.replace(params, sigma3=0.0)
+    for price, spec in [(caplet_price, CapletSpec(1.0, 0.5, 0.01)),
+                        (floorlet_price, CapletSpec(1.0, 0.5, 0.01)),
+                        (swaption_price, SwaptionSpec(SwapSpec(0.5, 4, 0.25, 0.01)))]:
+        with pytest.raises(DegenerateSpreadFactor, match="sigma3 = 0"):
+            price(spec, p)
+    swap = SwapSpec(1.0, 4, 0.25, 0.01)
+    assert swap_price(state, swap, p) == pytest.approx(swap_price_via_fras(state, swap, p),
+                                                       rel=1e-12)
+    assert math.isfinite(fra_price(state, FraSpec(1.0, 0.5, 0.01), p))
