@@ -24,7 +24,8 @@ class InvalidTimeOrder(TwoCurveError):
 class QuadratureFailure(TwoCurveError):
     """Numerical integration did not reach the requested tolerance.
 
-    history lists the (nodes per axis, estimate) pairs of the node doubling.
+    history lists the (nodes per axis, estimate) pairs of the refinement
+    ladder n, 4n/3, 2n, ...
     """
 
     def __init__(self, message: str, history=()):

@@ -12,6 +12,7 @@ so the Libor-curve short rate is R_t = r_t + s_t = (1+kappa)*psi1 + psi2^2 + psi
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import NonPositiveCoefficient
@@ -32,9 +33,10 @@ class ModelParams:
     intensity kappa and initial factor values psi0.
 
     b_i must be finite and strictly positive, sigma_i finite and >= 0
-    (NonPositiveCoefficient otherwise); kappa and psi0 must be finite
-    (ValueError otherwise).  A zero volatility builds a deterministic model
-    for simulation; validate() rejects it for pricing.
+    (NonPositiveCoefficient otherwise); b_i must also be a normal float, at
+    least sys.float_info.min, and kappa and psi0 must be finite (ValueError
+    otherwise).  A zero volatility builds a deterministic model for
+    simulation; validate() rejects it for pricing.
     """
 
     b1: float
@@ -49,8 +51,14 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "psi0", tuple(float(x) for x in self.psi0))
         for name in ("b1", "b2", "b3"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+            b = getattr(self, name)
+            if not (math.isfinite(b) and b > 0.0):
                 raise NonPositiveCoefficient(name)
+            # a subnormal b leaves b*tau a few bits wide, and B1 = -expm1(-b tau)/b
+            # loses its digits without an error
+            if b < sys.float_info.min:
+                raise ValueError(f"{name} = {b} is subnormal: the mean reversions must be "
+                                 f">= sys.float_info.min = {sys.float_info.min}")
         for name in ("sigma1", "sigma2", "sigma3"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
                 raise NonPositiveCoefficient(name)

@@ -302,13 +302,18 @@ def _run(
         halves = [(val_c + val_d, int_c + int_d + int_e)]
         if config.antithetic:
             halves.append((val_c - val_d, int_c - int_d + int_e))
-        vals = sum(payoff(psi, ints[:, :, :n_to]) for psi, ints in halves)
-        vals_c = sum(payoff(psi, ints[:, :, n_to:]) for psi, ints in halves)
-        if config.antithetic:
-            vals, vals_c = 0.5 * vals, 0.5 * vals_c
-        s1 += float(np.sum(vals))
-        s2 += float(np.sum(vals * vals))
-        sc += float(np.sum(vals_c))
+        # a payoff past the float range would leave an inf or NaN mean
+        try:
+            with np.errstate(over="raise"):
+                vals = sum(payoff(psi, ints[:, :, :n_to]) for psi, ints in halves)
+                vals_c = sum(payoff(psi, ints[:, :, n_to:]) for psi, ints in halves)
+                if config.antithetic:
+                    vals, vals_c = 0.5 * vals, 0.5 * vals_c
+                s1 += float(np.sum(vals))
+                s2 += float(np.sum(vals * vals))
+                sc += float(np.sum(vals_c))
+        except FloatingPointError as exc:
+            raise TwoCurveError(f"a simulated payoff passes the float range ({exc})") from exc
         n_samples += n
     mean = s1 / n_samples
     var = max(0.0, s2 / n_samples - mean * mean)

@@ -405,6 +405,22 @@ def test_mean_reversion_at_the_float_range_prices(tmp_path, b1):
             assert float(value) == pytest.approx(float(row_ref[key]), abs=1e-12)
 
 
+def test_subnormal_mean_reversion_exit_2(tmp_path, capsys):
+    doc = _scenario([{"type": "bond", "T": 1.5, "curve": "OIS"}])
+    doc["params"]["b1"] = 5e-324
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert "params: b1 = 5e-324 is subnormal" in capsys.readouterr().err
+    assert not (tmp_path / "prices.csv").exists()
+
+
+def test_simulated_payoff_overflow_exits_3(tmp_path, capsys):
+    doc = _scenario([{"type": "swap", "T0": 0.5, "n": 2, "gamma": 0.25, "R": 0.01}],
+                    mc={"n_paths": 1000, "steps_per_year": 8, "seed": 3})
+    doc["params"]["sigma2"] = 1000.0
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 3
+    assert "passes the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("n_paths", 100_000_001),
                                           ("steps_per_year", 1 << 17)])
 def test_mc_size_caps_exit_2(tmp_path, capsys, monkeypatch, field, value):

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from twocurve import (
@@ -76,23 +77,39 @@ def test_conditional_law_is_ou_transition(params):
     var=st.floats(1e-6, 1.0),
     c=st.floats(-5.0, 5.0),
 )
+# next to the pole 1 - 2cv = 0: a peak far from the mean, and a value past
+# the float range
+@example(mean=1.0, var=0.703125, c=0.703125)
+@example(mean=1.0, var=0.70703125, c=0.70703125)
 @settings(max_examples=40, deadline=None)
 def test_gaussian_exp_quadratic_vs_quadrature(mean, var, c):
     law = GaussianLaw(mean, var)
-    if 1.0 - 2.0 * c * var <= 0.0:
+    d = 1.0 - 2.0 * c * var
+    if d <= 0.0:
         with pytest.raises(MomentExplosion):
             gaussian_exp_quadratic(law, c)
         return
     s = math.sqrt(var)
-    # the integrand's effective scale widens by 1/sqrt(1 - 2cv)
-    s_eff = s / math.sqrt(1.0 - 2.0 * c * var)
-    lo, hi = mean - 15 * s_eff - 15 * s, mean + 15 * s_eff + 15 * s
-    ref, _ = quad(
-        lambda z: math.exp(c * z * z - 0.5 * ((z - mean) / s) ** 2)
-        / (s * math.sqrt(2 * math.pi)),
-        lo, hi, limit=400,
-    )
-    assert gaussian_exp_quadratic(law, c) == pytest.approx(ref, rel=1e-8)
+    # the integrand exp(f(z)) peaks at mean / d, where its effective scale
+    # widens by 1/sqrt(1 - 2cv); it is integrated as exp(f(z) - f(peak)),
+    # the difference of the quadratics factored so that it does not cancel,
+    # and rescaled, so that nothing overflows
+    s_eff = s / math.sqrt(d)
+    peak = mean / d
+    f_peak = c * peak * peak - 0.5 * ((peak - mean) / s) ** 2
+
+    def f_from_peak(z):
+        return (z - peak) * (c * (z + peak) - 0.5 * (z + peak - 2.0 * mean) / var)
+
+    lo, hi = peak - 15 * s_eff - 15 * s, peak + 15 * s_eff + 15 * s
+    scaled, _ = quad(lambda z: math.exp(f_from_peak(z)) / (s * math.sqrt(2 * math.pi)),
+                     lo, hi, points=[peak], limit=400, epsabs=0.0, epsrel=1e-12)
+    log_ref = f_peak + math.log(scaled)
+    if log_ref > math.log(sys.float_info.max):
+        with pytest.raises(MomentExplosion, match="overflows"):
+            gaussian_exp_quadratic(law, c)
+        return
+    assert gaussian_exp_quadratic(law, c) == pytest.approx(math.exp(log_ref), rel=1e-8)
 
 
 def test_gaussian_exp_quadratic_degenerate():

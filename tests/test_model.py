@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,3 +85,15 @@ def test_params_reject_non_finite_kappa_and_psi0():
         ModelParams(0.5, 0.5, 0.5, 0.01, 0.01, 0.01, kappa=float("nan"))
     with pytest.raises(ValueError):
         ModelParams(0.5, 0.5, 0.5, 0.01, 0.01, 0.01, psi0=(0.0, float("inf"), 0.0))
+
+
+@pytest.mark.parametrize("field", ["b1", "b2", "b3"])
+def test_params_reject_subnormal_mean_reversion(field, params):
+    # B1 = -expm1(-b tau)/b keeps no digits at a subnormal b: at b1 = 5e-324
+    # B1(0, 1.5) read 2.0
+    kw = {f: getattr(params, f) for f in ("b1", "b2", "b3", "sigma1", "sigma2", "sigma3")}
+    kw[field] = 5e-324
+    with pytest.raises(ValueError, match=f"{field} = 5e-324 is subnormal.*{sys.float_info.min}"):
+        ModelParams(**kw)
+    kw[field] = sys.float_info.min
+    assert getattr(ModelParams(**kw), field) == sys.float_info.min

@@ -142,7 +142,7 @@ class TestCapletPrice:
         assert f"last={info.value.history[-1][1]}" in str(info.value)
         with pytest.raises(QuadratureFailure) as info:
             caplet_price(cap, params, QuadratureConfig(16, rel_tol=0.0, max_refinements=2))
-        assert [n for n, _ in info.value.history] == [16, 32, 64]
+        assert [n for n, _ in info.value.history] == [16, 21, 32, 42, 64]
         assert info.value.history[-1][1] == pytest.approx(caplet_price(cap, params), rel=1e-6)
 
     def test_node_doubling_converges(self, params, state):
@@ -279,6 +279,15 @@ class TestSwaptionPrice:
             sw_px = swaption_price(SwaptionSpec(swap), params, QUICK_QUAD)
             assert sw_px >= max(0.0, swap_price(state, swap, params)) - 1e-12
 
+    @pytest.mark.parametrize("r", [-4.0, -4.5])
+    def test_fixed_leg_at_or_below_zero_is_the_swap(self, params, state, r):
+        # 1 + R gamma <= 0 makes the fixed leg h <= 0 < g: the option is
+        # always exercised, and no (x, y) is in the set g(x, y, 0) <= h
+        swap = SwapSpec(0.5, 4, 0.25, r)
+        assert swaption_price(SwaptionSpec(swap), params) == swap_price(state, swap, params)
+        assert swap_price(state, swap, params) > 0.0
+        assert not swaption_region(-0.05, 0.01, swap, params).in_region
+
     def test_node_doubling_converges(self, params, state):
         swap = SwapSpec(0.5, 4, 0.25, fair_swap_rate(state, SwapSpec(0.5, 4, 0.25, 0.0), params))
         v64 = swaption_price(SwaptionSpec(swap), params, QuadratureConfig(n_nodes_per_axis=64))
@@ -297,10 +306,48 @@ def test_quadrature_size_bounded(n, refinements):
 
 def _estimate(price, spec, params, n):
     """The single n-node estimate of a price: with no refinement allowed the
-    node doubling stops at once and reports it in its history."""
+    ladder stops at once and reports it in its history."""
     with pytest.raises(QuadratureFailure) as info:
         price(spec, params, QuadratureConfig(n, max_refinements=0))
     return info.value.history[0][1]
+
+
+def test_refinement_ladder_is_half_octaves():
+    # n, 4n/3, 2n, 8n/3, ...: max_refinements counts octaves, so the last
+    # rung is n * 2**max_refinements
+    def ladder(quad):
+        with pytest.raises(QuadratureFailure) as info:
+            optional._refine(float, quad)
+        return [n for n, _ in info.value.history]
+
+    assert ladder(QuadratureConfig(rel_tol=0.0, max_refinements=1)) == [48, 64, 96]
+    assert ladder(QuadratureConfig(rel_tol=0.0)) == [48, 64, 96, 128, 192, 256, 384]
+    assert ladder(QuadratureConfig(256, max_refinements=3))[-1] == 2048
+
+
+@pytest.mark.parametrize("price, spec", [(caplet_price, CapletSpec(1.0, 0.5, 0.012)),
+                                         (swaption_price, SwaptionSpec(SwapSpec(0.5, 4, 0.25, 0.01)))],
+                         ids=["caplet", "swaption"])
+def test_default_price_is_the_64_node_estimate(params, price, spec):
+    # the default 48 nodes are confirmed by the next rung, 64, which is returned
+    assert price(spec, params) == _estimate(price, spec, params, 64)
+
+
+def test_slowly_converging_small_sigma3_draw_prices():
+    # draw 56 of default_rng(2024) (sigma3 = 0.0011, b3 = 0.77) converges
+    # slowly: its 192- and 384-node estimates differ by 1.7e-7, so plain node
+    # doubling from 48 exhausts its refinements
+    rng = np.random.default_rng(2024)
+    for _ in range(57):
+        p = random_params(rng, caplet_safe=True)
+    s = FactorState(0.0, p.psi0)
+    atm = fair_fra_rate(s, 0.5, 0.5, p)
+    swap = SwapSpec(0.5, 4, 0.25, fair_swap_rate(s, SwapSpec(0.5, 4, 0.25, 0.0), p))
+    for price, spec in [(caplet_price, CapletSpec(0.5, 0.5, atm)),
+                        (caplet_price, CapletSpec(0.5, 0.5, atm + 0.005)),
+                        (swaption_price, SwaptionSpec(swap))]:
+        ref = _estimate(price, spec, p, 1024)
+        assert abs(price(spec, p) / ref - 1.0) <= 1e-7
 
 
 @pytest.mark.parametrize("kind, T, n", [("caplet", 1.0, 1), ("caplet", 5.0, 1),

@@ -175,6 +175,17 @@ def test_step_scaling_past_the_float_range_refused(params):
             mc_bond(p, 1.0, "OIS", McConfig(n_paths=1000, steps_per_year=8))
 
 
+def test_payoff_past_the_float_range_refused(params):
+    # sigma2 = 1000 draws psi2 near 1000, and the swap's 1 / pbar holds
+    # exp(C22 psi2^2): an inf payoff would leave an inf or NaN estimate
+    p = ModelParams(params.b1, params.b2, params.b3, params.sigma1, 1000.0,
+                    params.sigma3, kappa=params.kappa, psi0=params.psi0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TwoCurveError, match="passes the float range"):
+            mc_price(p, SwapSpec(0.5, 2, 0.25, 0.01), McConfig(n_paths=1000, steps_per_year=8))
+
+
 def test_libor_payoffs_agree_path_by_path(params):
     # one payoff for every Libor product: on the same dates, seed and
     # notional, caplet - floorlet is the FRA, and the FRA is the one-period
