@@ -18,12 +18,13 @@ Rabinowitz, Methods of Numerical Integration, 1984), and a half-octave
 ladder of node counts, n, 4n/3, 2n, ..., confirms each estimate with the
 next (_refine).  Integrands are evaluated on blocks of whole panels as
 arrays, the swaption's periods on the leading axis.  The caplet's split and
-boundary are closed form; the swaption's splits come from one scan and one
-vectorised bisection over all rows (_column_panels), its boundary from a
-Newton iteration in u = zbar^2 (_boundary_root).  The exp(C33*zbar^2)-type
-boundary terms fold back into the strike level (Rtilde, or h(x, y) for the
-swaption), so nothing overflows.  With 1 + R gamma <= 0 the swaption is
-always exercised and is priced as the swap.
+boundary are closed form; the swaption's splits in x (_column_panels, on
+the brackets of one scan over all rows) and its boundary in u = zbar^2
+(_boundary_root) both solve log g = log h by one safeguarded Newton
+(_newton_root).  The exp(C33*zbar^2)-type boundary terms fold back into the
+strike level (Rtilde, or h(x, y) for the swaption), so nothing overflows.
+With 1 + R gamma <= 0 the swaption is always exercised and is priced as the
+swap.
 """
 
 from __future__ import annotations
@@ -450,20 +451,21 @@ class _SwaptionAssembly:
         g(x, y, z) = sum_k d0_k exp(-a0_k - b1t_k x - c22t_k y^2 - c33t_k z^2)
         h(x, y)    = rg1 sum_k exp(-a0_k - b1_k x - c22_k y^2)
 
-    as arrays over the periods k; g - h is the swap's value at T0."""
+    as arrays over the periods k; g - h is the swap's value at T0.  rg1 =
+    1 + R gamma may have either sign; log_rg1 is -inf for rg1 <= 0, where
+    h <= 0 < g leaves the exercise region empty and no root reads it."""
 
     def __init__(self, swap: SwapSpec, params: ModelParams):
         self.swap = swap
         log_d0, self.a0, self.b1t, self.c22t, self.c33t, self.b1, self.c22 = (
             np.array(col) for col in zip(*_period_rows(swap, params)))
         self.rg1 = swap.R * swap.gamma + 1.0
-        if _always_exercised(swap):
-            raise TwoCurveError(f"1 + R * gamma = {self.rg1} <= 0: the fixed leg h has no log form")
-        # the exponents of the terms of g(., ., 0) and of h are linear in
-        # (1, x, y^2): one matrix, g's periods first
+        self.log_rg1 = math.log(self.rg1) if self.rg1 > 0.0 else -math.inf
+        # the exponents of the terms of g(., ., 0) and of h / rg1 are linear
+        # in (1, x, y^2): one matrix, g's periods first
         self.lin = np.concatenate([
             np.stack([log_d0 - self.a0, -self.b1t, -self.c22t], axis=1),
-            np.stack([math.log(self.rg1) - self.a0, -self.b1, -self.c22], axis=1),
+            np.stack([-self.a0, -self.b1, -self.c22], axis=1),
         ])
 
     def g(self, x, y, z):
@@ -472,59 +474,60 @@ class _SwaptionAssembly:
         return np.exp(lt - np.multiply.outer(self.c33t, z * z)).sum(axis=0)
 
     def h(self, x, y):
-        return np.exp(self.log_terms(x, y)[self.swap.n:]).sum(axis=0)
+        return self.rg1 * np.exp(self.log_terms(x, y)[self.swap.n:]).sum(axis=0)
 
     def log_terms(self, x, y):
         """Logs of the terms of g(x, y, 0) (the first n_periods rows) and of
-        h(x, y) (the rest), shape (2 n_periods,) + the broadcast shape."""
+        h(x, y) / rg1 (the rest), shape (2 n_periods,) + the broadcast shape."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         v = np.stack([np.ones(x.size), x.ravel(), (y * y).ravel()])
         return (self.lin @ v).reshape((len(self.lin),) + x.shape)
 
-    def phi0(self, x, y):
-        """g(x, y, 0) - h(x, y)."""
-        t = np.exp(self.log_terms(x, y))
-        return t[:self.swap.n].sum(axis=0) - t[self.swap.n:].sum(axis=0)
+
+def _lse(a, b, s):
+    """log sum_k exp(a_k + b_k s) over the leading axis, shifted by its
+    largest term, and its s-derivative."""
+    e = a + b * s
+    m = e.max(axis=0)
+    w = np.exp(e - m)
+    tot = w.sum(axis=0)
+    return m + np.log(tot), (b * w).sum(axis=0) / tot
 
 
-def _always_exercised(swap: SwapSpec) -> bool:
-    """1 + R gamma <= 0: the fixed leg h is <= 0 < g, so the swap value at T0
-    is positive for every factor value."""
-    return not swap.R * swap.gamma + 1.0 > 0.0
+def _newton_root(g, h, lo, hi):
+    """Per column, the root in [lo, hi] (hi may be inf) of the increasing
+    F(s) = lse(g, s) - lse(h, s), g and h the (intercepts, slopes) of their
+    terms' exponents.  Safeguarded Newton (rtsafe: Press et al., Numerical
+    Recipes, 3rd ed., 2007, 9.4): F's sign at each iterate moves one end of
+    the bracket there, and a step outside the bracket, ends included,
+    bisects instead; F(lo) >= 0 collapses the bracket onto lo.  Stops when
+    every F is within rounding of 0 or every bracket within rounding of a
+    point (an infinite one never is), after a last, polishing step."""
+    s = lo
+    for _ in range(_NEWTON_MAX_ITER):
+        lg, dg = _lse(*g, s)
+        lh, dh = _lse(*h, s)
+        f = lg - lh
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f < 0.0, hi, s)
+        step = s - f / (dg - dh)
+        s = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if np.all((np.abs(f) <= 1e-13 * (1.0 + np.abs(lh)))
+                  | (hi - lo <= 1e-13 * (1.0 + np.abs(lo)))):
+            return s
+    raise RootNotBracketed(f"Newton iteration for the exercise boundary did not converge "
+                           f"in {_NEWTON_MAX_ITER} steps")
 
 
 def _boundary_root(asm: _SwaptionAssembly, x, y):
     """Positive root z2 of g(x, y, z) = h(x, y) at the nodes x, y (1-D
     arrays) of the exercise region (g(x, y, 0) <= h); g is even in z, so
-    z1 = -z2.
-
-    With u = z^2, F(u) = log sum_k E_k exp(-c33t_k u) - log h is convex and
-    increasing, since every c33t_k < 0 (case 1).  Newton started at u = 0
-    therefore overshoots once and then converges monotonically from the
-    right.  The sum is taken in log-sum-exp form, so nothing overflows.  u
-    is clamped at 0, which puts a node whose F(0) is a hair above 0 on z = 0.
-    """
-    n = asm.swap.n
-    terms = asm.log_terms(x, y)
-    lt, lh = terms[:n], np.log(np.exp(terms[n:]).sum(axis=0))
-    slope = -asm.c33t[:, None]
-    u = np.zeros_like(lh)
-    for _ in range(_NEWTON_MAX_ITER):
-        lg = lt + slope * u
-        m = lg.max(axis=0)
-        w = np.exp(lg - m)
-        s = w.sum(axis=0)
-        f = m + np.log(s) - lh
-        u_next = np.maximum(u - f * s / (slope * w).sum(axis=0), 0.0)
-        # F within rounding of 0, or pinned at the clamp; one last step
-        # polishes the converged nodes
-        done = (np.abs(f) <= 1e-13 * (1.0 + np.abs(lh))) | ((u == 0.0) & (f > 0.0))
-        u = u_next
-        if done.all():
-            return np.sqrt(u)
-    raise RootNotBracketed(
-        f"Newton iteration for the z-boundary did not converge in {_NEWTON_MAX_ITER} steps"
-    )
+    z1 = -z2.  In u = z^2, log g - log h is convex and increasing (every
+    c33t_k < 0, case 1): from u = 0 Newton overshoots once, then converges
+    from the right.  A node whose F(0) is a hair above 0 gets z = 0."""
+    n, terms = asm.swap.n, asm.log_terms(x, y)
+    lh = asm.log_rg1 + np.log(np.exp(terms[n:]).sum(axis=0))
+    return np.sqrt(_newton_root((terms[:n], -asm.c33t[:, None]), (lh[None], 0.0),
+                                np.zeros_like(lh), np.full_like(lh, np.inf)))
 
 
 def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> RegionBoundary:
@@ -532,10 +535,8 @@ def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> 
     is at or below the fixed leg, plus the boundary roots there; mixed
     cases raise MixedCase (see swaption_case).  With 1 + R gamma <= 0 the fixed
     leg h is <= 0 < g, so no point is in the set."""
-    if _always_exercised(swap):
-        return RegionBoundary(in_region=False)
     asm = _SwaptionAssembly(swap, params)
-    if float(asm.phi0(x, y)) > 0.0:
+    if float(asm.g(x, y, 0.0)) > float(asm.h(x, y)):
         return RegionBoundary(in_region=False)
     z2 = float(_boundary_root(asm, np.array([x]), np.array([y]))[0])
     return RegionBoundary(in_region=True, z1=-z2, z2=z2)
@@ -543,35 +544,31 @@ def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> 
 
 def _column_panels(asm: _SwaptionAssembly, ys, x_lo: float, x_hi: float):
     """The points (row index, x) where the y-rows' x-lines on [x_lo, x_hi]
-    cross g(., y, 0) = h(., y), which split them into panels.
-
-    One scan of every row on a _N_SCAN-interval grid finds the brackets and
-    one vectorised bisection refines all of them.
-    """
+    cross g(., y, 0) = h(., y), which split them into panels: one scan of
+    every row on a _N_SCAN-interval grid finds the brackets, and one
+    _newton_root refines them all, on log g - log h or on its negative,
+    whichever rises across the bracket."""
     xs = np.linspace(x_lo, x_hi, _N_SCAN + 1)
     # g(x, y, 0) and h(x, y) separate into row and grid factors: the scan
     # is one matrix product per block of rows
     n = asm.swap.n
     t_rows = np.exp(asm.log_terms(0.0, ys)).T
-    g_rows, h_rows = t_rows[:, :n], -t_rows[:, n:]
+    g_rows, h_rows = t_rows[:, :n], -asm.rg1 * t_rows[:, n:]
     g_grid, h_grid = np.exp(-np.outer(asm.b1t, xs)), np.exp(-np.outer(asm.b1, xs))
     step = max(1, _BLOCK // xs.size)
-    row, col = [], []
+    found = []
     for r in range(0, ys.size, step):
         neg = g_rows[r:r + step] @ g_grid + h_rows[r:r + step] @ h_grid < 0.0
         j, i = np.nonzero(neg[:, :-1] != neg[:, 1:])
-        row.append(j + r)
-        col.append(i)
-    row, col = np.concatenate(row), np.concatenate(col)
-    lo, hi, yb = xs[col], xs[col + 1], ys[row]
-    neg_lo = asm.phi0(lo, yb) < 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        same = (asm.phi0(mid, yb) < 0.0) == neg_lo
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        if np.all(hi - lo <= 1e-13 * (1.0 + np.abs(hi))):
-            break
-    return row, 0.5 * (lo + hi)
+        found.append((j + r, i, neg[j, i]))
+    row, col, rises = (np.concatenate(v) for v in zip(*found))
+    # the terms' exponents a + b x per bracket, shape (a or b, g or h,
+    # period, bracket); g and h swap places where g - h falls
+    a = asm.lin[:, :1] + asm.lin[:, 2:] * ys[row] ** 2
+    a[n:] += asm.log_rg1
+    ab = np.stack(np.broadcast_arrays(a, asm.lin[:, 1:2])).reshape(2, 2, n, -1)
+    ab = np.where(rises, ab, ab[:, ::-1])
+    return row, _newton_root(ab[:, 0], ab[:, 1], xs[col], xs[col + 1])
 
 
 def swaption_price(
@@ -593,7 +590,7 @@ def swaption_price(
     swap = spec.swap
     if swap.T0 <= 0.0:
         raise InvalidTimeOrder(swap.T0, 0.0)
-    if _always_exercised(swap):
+    if not swap.R * swap.gamma + 1.0 > 0.0:
         return swap_price(FactorState(0.0, params.psi0), swap, params)
     asm = _SwaptionAssembly(swap, params)
 
@@ -604,7 +601,7 @@ def swaption_price(
 
     def integrand(x, y, in_m):
         t = np.exp(asm.log_terms(x, y))
-        ge, h = gam * t[:swap.n], t[swap.n:].sum(axis=0)
+        ge, h = gam * t[:swap.n], asm.rg1 * t[swap.n:].sum(axis=0)
         # off the region g >= h for every z: the positive part is the mean
         val = ge.sum(axis=0) - h
         z2 = _boundary_root(asm, x[in_m], y[in_m])
@@ -614,7 +611,7 @@ def swaption_price(
 
     def estimate(n: int) -> float:
         return p0 * _tensor_gl(n, quad, fm, partial(_column_panels, asm),
-                               lambda x, y: asm.phi0(x, y) <= 0.0, integrand, swap.n)
+                               lambda x, y: asm.g(x, y, 0.0) <= asm.h(x, y), integrand, swap.n)
 
     # past the float range (horizons or accruals near 1e300 or 1e-300) the
     # period terms overflow or lose their boundary root

@@ -18,9 +18,9 @@ closed-form z-tail and converges like n^-5: about 2e-10 relative at its
 default 96 nodes, inside the 1e-7 its tests ask.
 
 The psi1 closed forms (the integral of B1^2, the forward drift and the FRA
-residual) have decimal references: each is evaluated in the textbook form
-that cancels as b1 -> 0, at a precision that grows with the digits the
-cancellation costs.
+residual) and the simulator's exact OU step constants have decimal
+references: each is evaluated in the textbook form that cancels as b -> 0,
+at a precision that grows with the digits the cancellation costs.
 """
 
 from __future__ import annotations
@@ -364,9 +364,9 @@ def swaption_z_quadrature(spec, params, n: int = 96, n_z: int = 64, trunc: float
     return swap.notional * p0 * total
 
 
-def _decimal_digits(x: float) -> int:
-    """Working digits for a form that cancels like x^3 as x -> 0."""
-    return 40 + 3 * max(0, -math.floor(math.log10(x)))
+def _decimal_digits(x: float, power: int = 3) -> int:
+    """Working digits for a form that cancels like x^power as x -> 0."""
+    return 40 + power * max(0, -math.floor(math.log10(x)))
 
 
 def b1_sq_integral_decimal(tau: float, b: float) -> float:
@@ -398,3 +398,18 @@ def residual_decimal(tau: float, delta: float, params) -> float:
         e_delta, e_tau = 1 - (-bd * Decimal(delta)).exp(), 1 - (-bd * Decimal(tau)).exp()
         k = Decimal(params.kappa) * Decimal(params.sigma1) ** 2
         return float((-k * e_delta * e_tau * e_tau / (2 * bd ** 3)).exp())
+
+
+def step_constants_decimal(times, b: float, sigma: float) -> list:
+    """The exact OU steps' standard deviations sigma sqrt((1 - e^{-2 b dt})
+    / (2 b)), each scaled by e^{b t} at its step's end, over the float steps
+    dt = np.diff(times) the simulator takes; 1 - e^{-2 b dt} cancels like
+    b dt."""
+    out = []
+    for t, dt in zip(times[1:], np.diff(times)):
+        with localcontext() as ctx:
+            ctx.prec = _decimal_digits(2.0 * b * dt, power=1)
+            bd = Decimal(b)
+            var = (1 - (-2 * bd * Decimal(float(dt))).exp()) / (2 * bd)
+            out.append(float(Decimal(sigma) * var.sqrt() * (bd * Decimal(float(t))).exp()))
+    return out

@@ -34,8 +34,10 @@ from twocurve import (
     swaption_region,
 )
 from twocurve import optional
-from twocurve.optional import _SwaptionAssembly, _boundary_root, _ndtr
-from oracles import caplet_3d_quadrature, swaption_z_quadrature, swaption_z_root_bisect
+from twocurve.optional import (_SwaptionAssembly, _boundary_root, _column_panels, _ndtr,
+                               _newton_root)
+from oracles import (_swaption_x_cuts, caplet_3d_quadrature, swaption_z_quadrature,
+                     swaption_z_root_bisect)
 from conftest import random_params
 
 QUICK_QUAD = QuadratureConfig(n_nodes_per_axis=64)
@@ -231,6 +233,49 @@ class TestSwaptionRegion:
         swap = SwapSpec(0.5, 4, 0.25, 0.012)
         assert swaption_region(-0.5, 0.0, swap, params).in_region
         assert not swaption_region(0.5, 0.0, swap, params).in_region
+
+
+def test_newton_root_keeps_exact_roots_and_collapsed_brackets():
+    # columns of F(s) = lse(g, s) - lse(h, s) on [0, hi]: F = s - 1, whose
+    # first Newton step lands exactly on F = 0 while the log-sum-exp column
+    # still iterates; F(0) > 0 and F(0) = 0, which return lo; and a root
+    # bracketed by a finite hi
+    g_a = np.array([[-1.0, 0.0, 2.0, 0.0, -1.0], [-np.inf, -2.0, -np.inf, -np.inf, -np.inf]])
+    g_b = np.array([[1.0, 1.0, 1.0, 1.0, 3.0], [0.0, 3.0, 0.0, 0.0, 0.0]])
+    h = (np.array([[0.0, 1.0, 0.0, 0.0, 0.0]]), np.zeros((1, 1)))
+    lo, hi = np.zeros(5), np.array([np.inf, np.inf, np.inf, np.inf, 0.5])
+    with np.errstate(all="raise"):
+        s = _newton_root((g_a, g_b), h, lo, hi)
+    assert s[0] == 1.0 and s[2] == 0.0 and s[3] == 0.0
+    assert s[4] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    root = s[1]
+    assert math.log(math.exp(root) + math.exp(3.0 * root - 2.0)) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_periods", [1, 4, 20])
+def test_column_panels_match_the_bisection_cuts(n_periods):
+    # the kernel's x-splits against a scalar bisection per scan bracket on
+    # random draws with kappa down to -0.9 and strikes around the fair rate,
+    # on 33 rows of the +/- 8 standard-deviation box
+    rng = np.random.default_rng(23 + n_periods)
+    n_cuts = 0
+    for _ in range(12):
+        params = dataclasses.replace(random_params(rng), kappa=rng.uniform(-0.9, 1.0))
+        fair = fair_swap_rate(FactorState(0.0, params.psi0), SwapSpec(1.0, n_periods, 0.25, 0.0),
+                              params)
+        asm = _SwaptionAssembly(SwapSpec(1.0, n_periods, 0.25, fair * rng.uniform(0.5, 1.5)),
+                                params)
+        fm = forward_moments(1.0, 1.0, params)
+        (a1, a2, _), (s1, s2) = fm.alpha, np.sqrt(fm.beta[:2])
+        x_lo, x_hi = a1 - 8.0 * s1, a1 + 8.0 * s1
+        ys = a2 + 8.0 * s2 * np.linspace(-1.0, 1.0, 33)
+        row, cut = _column_panels(asm, ys, x_lo, x_hi)
+        for i, y in enumerate(ys):
+            ref, got = np.array(_swaption_x_cuts(asm, y, x_lo, x_hi)), np.sort(cut[row == i])
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+            n_cuts += ref.size
+    assert n_cuts >= 6 * 33
 
 
 @pytest.mark.parametrize("n_periods", [1, 4, 20])

@@ -28,7 +28,8 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
-from twocurve.oracle import _Reads, _make_grid, _run
+from twocurve.oracle import _Reads, _make_grid, _run, _step_constants
+from oracles import step_constants_decimal
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -126,6 +127,27 @@ def test_swaption_mc_vs_analytic(params):
     swap = SwapSpec(0.5, 4, 0.25, 0.0104)
     est = mc_price(params, SwaptionSpec(swap), CFG)
     assert abs(est.mean - swaption_price(SwaptionSpec(swap), params)) < 3.0 * est.std_error
+
+
+def test_swaption_with_fixed_leg_below_zero_is_the_swap(params, state):
+    # 1 + R gamma = -0.125 makes the fixed leg h < 0 < g on every path: the
+    # option is always exercised and its estimate is the swap's price
+    swap = SwapSpec(0.5, 4, 0.25, -4.5)
+    est = mc_price(params, SwaptionSpec(swap), McConfig(n_paths=20_000, steps_per_year=64, seed=41))
+    assert abs(est.mean - swap_price(state, swap, params)) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("b", [1e-300, 1e-100, 1e-30, 1e-8, 1e-3, 0.05, 1.0, 30.0, 1e3])
+def test_step_constants_match_a_decimal_reference(b):
+    # steps of 1e-6 to 25 wherever the e^{b t} scaling fits a float; that
+    # factor inherits the rounding of b t, hence the (1 + b t) in the bound
+    for dt in np.geomspace(1e-6, 25.0, 9):
+        times = dt * np.arange(4.0)
+        if b * times[-1] > 700.0:
+            continue
+        got = _step_constants(times, b, 0.013)
+        ref = np.array(step_constants_decimal(times, b, 0.013))
+        assert np.all(np.abs(got / ref - 1.0) <= 5e-16 * (1.0 + b * times[1:]))
 
 
 def test_antithetic_reduces_variance(params):
