@@ -51,7 +51,6 @@ from .optional import (
     caplet_price,
     caplet_region,
     floorlet_price,
-    swaption_case,
     swaption_price,
     swaption_region,
 )
@@ -61,7 +60,6 @@ from .oracle import (
     mc_bond,
     mc_forward_expectation,
     mc_price,
-    simulate_paths,
 )
 
 __version__ = "0.1.0"
@@ -81,8 +79,7 @@ __all__ = [
     "expectation_coeffs", "swap_price", "swap_price_via_fras",
     "fair_swap_rate", "swap_annuity",
     "CapletSpec", "SwaptionSpec", "RegionBoundary", "QuadratureConfig",
-    "caplet_region", "caplet_price", "floorlet_price", "swaption_case",
-    "swaption_region", "swaption_price",
-    "McConfig", "McEstimate", "simulate_paths", "mc_bond",
-    "mc_forward_expectation", "mc_price",
+    "caplet_region", "caplet_price", "floorlet_price", "swaption_region",
+    "swaption_price",
+    "McConfig", "McEstimate", "mc_bond", "mc_forward_expectation", "mc_price",
 ]

@@ -26,15 +26,15 @@ from t = 0 and psi0, so a scenario holding one must leave "state" at that
 default.
 
 Input rules: unknown keys anywhere are an error; every number must be finite
-(JSON NaN and Infinity are refused); schema_version is the integer 1; a cap
-needs n >= 1 and delta > 0; mc needs n_paths in [1000, 10^8] and
-steps_per_year a power of two <= 65536; the mc seed (and --seed) must be
->= 0, and --seed needs an mc section or --mc; quad needs truncation finite
-and > 0, rel_tol >= 0, max_refinements >= 0 and n_nodes_per_axis *
-2**max_refinements <= 2048; a curve_dump needs delta > 0 and grid points at
-or after state.t.  Exit codes: 0 success, 2 parse/validation error, 3
-pricing error (including a Monte Carlo grid too large to simulate), 4 Monte
-Carlo bias failure.
+(JSON NaN and Infinity are refused); schema_version is the integer 1; a
+swap, swaption or cap needs n in [1, 4096], and a cap delta > 0; mc needs
+n_paths in [1000, 10^8] and steps_per_year a power of two <= 65536; the mc
+seed (and --seed) must be >= 0, and --seed needs an mc section or --mc; quad
+needs truncation finite and > 0, rel_tol >= 0, max_refinements >= 0 and
+n_nodes_per_axis * 2**max_refinements <= 2048; a curve_dump needs delta > 0
+and grid points at or after state.t.  Exit codes: 0 success, 2
+parse/validation error, 3 pricing error (including a Monte Carlo grid too
+large to simulate), 4 Monte Carlo bias failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Any, Callable
 from . import linear, optional
 from .curves import libor_bond, ois_bond
 from .errors import BiasDominates, TwoCurveError
-from .linear import FraSpec, SwapSpec
+from .linear import _MAX_PERIODS, FraSpec, SwapSpec
 from .model import FactorState, ModelParams, validate
 from .optional import CapletSpec, QuadratureConfig, SwaptionSpec
 from .oracle import McConfig, McEstimate, mc_bond, mc_price
@@ -83,8 +83,8 @@ class CapProduct:
     notional: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= _MAX_PERIODS:
+            raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
         if self.delta <= 0.0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
 

@@ -54,7 +54,8 @@ class DegenerateSpreadFactor(TwoCurveError):
 
 
 class RootNotBracketed(TwoCurveError):
-    """Boundary root search could not bracket a sign change."""
+    """The exercise-boundary Newton iteration did not converge within its
+    step budget."""
 
 
 class BiasDominates(TwoCurveError):

@@ -47,6 +47,11 @@ __all__ = [
     "swap_annuity",
 ]
 
+# periods of a swap, swaption or cap: a swaption's exercise-set scan takes
+# about 9 KiB a period, and from 8192 periods on a block of the option
+# kernel holds one node
+_MAX_PERIODS = 4096
+
 
 @dataclass(frozen=True)
 class FraSpec:
@@ -77,8 +82,8 @@ class SwapSpec:
     notional: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= _MAX_PERIODS:
+            raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 

@@ -49,7 +49,7 @@ from .errors import (
     RootNotBracketed,
     TwoCurveError,
 )
-from .linear import FraSpec, SwapSpec, _period_row, expectation_coeffs, fra_price, swap_price
+from .linear import FraSpec, SwapSpec, _period_row, fra_price, swap_price
 from .measures import _exp_quadratic, forward_moments
 from .model import FactorState, ModelParams
 
@@ -61,7 +61,6 @@ __all__ = [
     "caplet_region",
     "caplet_price",
     "floorlet_price",
-    "swaption_case",
     "swaption_region",
     "swaption_price",
 ]
@@ -415,12 +414,6 @@ def floorlet_price(
 # swaption
 
 
-def _swaption_period_rho3(t: float, k: int, swap: SwapSpec, params: ModelParams) -> float:
-    """rho3(t, period k) of expectation_coeffs; past the pole, where it would
-    turn positive, ExpectationSingularity."""
-    return expectation_coeffs(t, k, swap, params).rho3
-
-
 def _period_rows(swap: SwapSpec, params: ModelParams) -> list:
     """linear._period_row at T0 for every period.  A pole of a period's psi3
     expectation inside [T0, T_{k-1}] is exactly a positive rho3(T0, k), so
@@ -432,16 +425,6 @@ def _period_rows(swap: SwapSpec, params: ModelParams) -> list:
             "periods fall in both monotonicity cases; the semi-closed pricer "
             "requires a uniform sign of rho3 across periods"
         ) from None
-
-
-def swaption_case(swap: SwapSpec, params: ModelParams) -> str:
-    """Classify the swaption by the sign of the spread-factor exponent
-    rho3(T0, .) across periods: "case1" when all are negative (payoff
-    convex in |z|).  That is the only attainable case, because the first
-    period's exponent is -C33bar(T0, T1) < 0; mixed signs are refused
-    (MixedCase, from _period_rows)."""
-    _period_rows(swap, params)
-    return "case1"
 
 
 class _SwaptionAssembly:
@@ -533,8 +516,8 @@ def _boundary_root(asm: _SwaptionAssembly, x, y):
 def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> RegionBoundary:
     """Membership of (x, y) in the set where the time-T0 swap value at z = 0
     is at or below the fixed leg, plus the boundary roots there; mixed
-    cases raise MixedCase (see swaption_case).  With 1 + R gamma <= 0 the fixed
-    leg h is <= 0 < g, so no point is in the set."""
+    cases raise MixedCase (from _period_rows).  With 1 + R gamma <= 0 the
+    fixed leg h is <= 0 < g, so no point is in the set."""
     asm = _SwaptionAssembly(swap, params)
     if float(asm.g(x, y, 0.0)) > float(asm.h(x, y)):
         return RegionBoundary(in_region=False)

@@ -23,8 +23,8 @@ its normals, psi_i = mean_i + (deviation linear in z_i), so a factor read
 only at dates, and psi1's trapezoid integrals, are one matrix product of
 the block's normals (_linear_reads); no path of psi1 is built, nor of psi3
 but for the Libor bond.  psi2, whose square is integrated, is the one path
-built, by _paths_from_normals, which simulate_paths shares.  The
-antithetic mirror -z negates every deviation, so it costs no second pass.
+built, by _paths_from_normals.  The antithetic mirror -z negates every
+deviation, so it costs no second pass.
 
 Same normals: every estimator draws exactly the normals that a full build
 of all three paths over its grid would, and reads them the same way; the
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import coeffs
 from .curves import ois_bond
-from .errors import BiasDominates, TwoCurveError
+from .errors import BiasDominates, InvalidTimeOrder, TwoCurveError
 from .linear import FraSpec, SwapSpec
 from .model import FactorState, ModelParams
 from .optional import CapletSpec, SwaptionSpec, _SwaptionAssembly
@@ -59,7 +59,6 @@ from .optional import CapletSpec, SwaptionSpec, _SwaptionAssembly
 __all__ = [
     "McConfig",
     "McEstimate",
-    "simulate_paths",
     "mc_bond",
     "mc_forward_expectation",
     "mc_price",
@@ -116,7 +115,11 @@ def _make_grid(dates, steps_per_year: int) -> np.ndarray:
     each inter-date span is cut into equal steps near 1/steps_per_year, and
     each such step is then halved so that grid[::2] is a valid coarse grid
     containing all the dates too.  A grid whose block of normals would pass
-    _BLOCK_BYTES is refused before it is built."""
+    _BLOCK_BYTES is refused before it is built, and so is a date before 0
+    or not finite."""
+    for d in dates:
+        if not 0.0 <= d < math.inf:
+            raise InvalidTimeOrder(0.0, d)
     pts = sorted({0.0} | {float(d) for d in dates})
     # steps per span, counted in Python floats (inf past the float range)
     # before anything is built
@@ -147,9 +150,7 @@ def _step_constants(times: np.ndarray, b: float, sigma: float):
     return stds * np.exp(b * times[1:])
 
 
-def _paths_from_normals(
-    z: np.ndarray, times: np.ndarray, params: ModelParams, factors=(0, 1, 2)
-):
+def _paths_from_normals(z: np.ndarray, times: np.ndarray, params: ModelParams, factors):
     """Exact OU paths of the factors `factors` (0-based, one per row of z)
     from their standard normals z of shape (len(factors), n, n_steps).
 
@@ -204,15 +205,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_normals(
-    seed: int, block_index: int, n: int, n_steps: int, factors: int = 3
-) -> np.ndarray:
+def _block_normals(seed: int, block_index: int, n: int, n_steps: int, factors: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(ss))
     return rng.standard_normal((factors, n, n_steps))
 
 
-def _blocks(config: McConfig, n_steps: int, factors: int = 3):
+def _blocks(config: McConfig, n_steps: int, factors: int):
     """The standard normals of every block, in block order, each block from
     its own substream of config.seed: shape (factors, n, n_steps) with n
     paths, or n antithetic pairs.  Fewer factors draw the head of the same
@@ -332,27 +331,12 @@ def _run(
     return est
 
 
-def simulate_paths(params: ModelParams, horizon: float, config: McConfig):
-    """Materialize the full factor-path ensemble up to the horizon.
-
-    Returns (times, psi) with psi of shape (3, n_paths, len(times)).  Memory
-    scales with n_paths * steps; the pricing entry points below stream in
-    blocks instead and never materialize the ensemble.
-    """
-    times = _make_grid([horizon], config.steps_per_year)
-    chunks = []
-    for z in _blocks(config, times.size - 1):
-        mean, dev = _paths_from_normals(z, times, params)
-        chunks.append(mean[:, None, :] + dev)
-        if config.antithetic:
-            chunks.append(mean[:, None, :] - dev)
-    return times, np.concatenate(chunks, axis=1)
-
-
 def mc_bond(
     params: ModelParams, T: float, curve: str, config: McConfig
 ) -> McEstimate:
     """Bond price as E[exp(-integral of the short rate (plus spread))]."""
+    if curve not in ("OIS", "LIBOR"):
+        raise ValueError(f"unknown curve {curve!r}")
     times = _make_grid([T], config.steps_per_year)
     end = (times.size - 1,)
     if curve == "LIBOR":

@@ -21,6 +21,12 @@ The psi1 closed forms (the integral of B1^2, the forward drift and the FRA
 residual) and the simulator's exact OU step constants have decimal
 references: each is evaluated in the textbook form that cancels as b -> 0,
 at a precision that grows with the digits the cancellation costs.
+
+Two helpers read the library instead of re-deriving it: simulate_paths
+builds the whole factor-path ensemble from the simulator's own blocks of
+normals and path builder, so that tests can check the estimators' reads
+against full paths, and swaption_case classifies a swaption by the signs
+of its spread exponents rho3 (_swaption_period_rho3).
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.integrate import quad
 
-from twocurve import InvalidTimeOrder, coeffs, ois_bond
+from twocurve import InvalidTimeOrder, coeffs, expectation_coeffs, ois_bond
 from twocurve.measures import ForwardMoments, forward_moments
 from twocurve.model import FactorState
+from twocurve.optional import _period_rows
+from twocurve.oracle import _blocks, _make_grid, _paths_from_normals
 
 
 def rk4_backward(f, terminal: float, t_hi: float, t_lo: float, n_steps: int) -> float:
@@ -274,6 +282,22 @@ def forward_moments_printed(t: float, T_star: float, params) -> ForwardMoments:
     return ForwardMoments(t, T_star, (a1, a2, a3), (be1, be2, be3))
 
 
+def _swaption_period_rho3(t: float, k: int, swap, params) -> float:
+    """rho3(t, period k) of expectation_coeffs; past the pole, where it would
+    turn positive, ExpectationSingularity."""
+    return expectation_coeffs(t, k, swap, params).rho3
+
+
+def swaption_case(swap, params) -> str:
+    """Classify the swaption by the sign of the spread-factor exponent
+    rho3(T0, .) across periods: "case1" when all are negative (payoff
+    convex in |z|).  That is the only attainable case, because the first
+    period's exponent is -C33bar(T0, T1) < 0; mixed signs are refused
+    (MixedCase, from optional._period_rows)."""
+    _period_rows(swap, params)
+    return "case1"
+
+
 def swaption_z_root_bisect(asm, x, y):
     """Reference exercise boundary z2 of g(x, y, z) = h(x, y) where
     g(x, y, 0) <= h: bracket doubling from z = 1, then bisection, vectorised
@@ -413,3 +437,21 @@ def step_constants_decimal(times, b: float, sigma: float) -> list:
             var = (1 - (-2 * bd * Decimal(float(dt))).exp()) / (2 * bd)
             out.append(float(Decimal(sigma) * var.sqrt() * (bd * Decimal(float(t))).exp()))
     return out
+
+
+def simulate_paths(params, horizon: float, config):
+    """Materialize the full factor-path ensemble up to the horizon, from the
+    blocks the estimators draw, each followed by its antithetic mirror.
+
+    Returns (times, psi) with psi of shape (3, n_paths, len(times)).  Memory
+    scales with n_paths * steps; the library's estimators stream in blocks
+    instead and never materialize the ensemble.
+    """
+    times = _make_grid([horizon], config.steps_per_year)
+    chunks = []
+    for z in _blocks(config, times.size - 1, 3):
+        mean, dev = _paths_from_normals(z, times, params, (0, 1, 2))
+        chunks.append(mean[:, None, :] + dev)
+        if config.antithetic:
+            chunks.append(mean[:, None, :] - dev)
+    return times, np.concatenate(chunks, axis=1)

@@ -40,19 +40,20 @@ from twocurve import (
     spread,
     swap_price,
     swap_price_via_fras,
-    swaption_case,
     swaption_price,
     v_multi,
     v_single,
 )
-from twocurve.optional import QuadratureConfig, _swaption_period_rho3
+from twocurve.optional import QuadratureConfig
 from oracles import (
+    _swaption_period_rho3,
     caplet_3d_quadrature,
     forward_moments_printed,
     linear_b_rk4,
     riccati_residual,
     riccati_rk4,
     simpson_adaptive,
+    swaption_case,
 )
 from conftest import random_params
 

@@ -351,6 +351,22 @@ def test_quadrature_size_bound_exits_2(tmp_path, capsys):
     assert "quad" in err and "2048" in err
 
 
+@pytest.mark.parametrize("product", [
+    {"type": "swap", "T0": 0.5, "n": 10**9, "gamma": 0.25, "R": 0.01},
+    {"type": "swaption", "T0": 0.5, "n": 10**9, "gamma": 0.25, "R": 0.01},
+    {"type": "cap", "T0": 0.5, "n": 10**9, "delta": 0.5, "R": 0.012},
+], ids=["swap", "swaption", "cap"])
+def test_period_count_bound_exits_2(tmp_path, capsys, monkeypatch, product):
+    # refused at validation: a billion periods are never priced
+    def price(*args, **kwargs):
+        raise AssertionError("a product was priced")
+
+    monkeypatch.setattr(cli, "_price_product", price)
+    assert run(_write(tmp_path, _scenario([product])), str(tmp_path)) == 2
+    assert "products[0]: n must be in [1, 4096]" in capsys.readouterr().err
+    assert not (tmp_path / "prices.csv").exists()
+
+
 def test_long_horizon_bonds_exit_0(tmp_path):
     doc = _scenario([{"type": "bond", "T": 80.0, "curve": "OIS"},
                      {"type": "bond", "T": 80.0, "curve": "LIBOR"},

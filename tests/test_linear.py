@@ -189,6 +189,16 @@ def test_one_period_swap_is_fra(params, state):
         assert abs(diff) <= 1e-12 * leg
 
 
+def test_period_count_is_bounded():
+    with pytest.raises(ValueError, match=r"n must be in \[1, 4096\]"):
+        SwapSpec(0.5, 10**9, 0.25, 0.01)
+    with pytest.raises(ValueError):
+        SwapSpec(0.5, 4097, 0.25, 0.01)
+    with pytest.raises(ValueError):
+        SwapSpec(0.5, 0, 0.25, 0.01)
+    assert SwapSpec(0.5, 4096, 0.25, 0.01).pay_date(4096) == 1024.5
+
+
 @pytest.mark.parametrize("price", [
     lambda s, p: fra_price(s, FraSpec(1e300, 0.25, 0.01), p),
     lambda s, p: fair_fra_rate(s, 1e300, 0.25, p),

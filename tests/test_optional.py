@@ -29,15 +29,14 @@ from twocurve import (
     fra_price,
     swap_price,
     swap_price_via_fras,
-    swaption_case,
     swaption_price,
     swaption_region,
 )
 from twocurve import optional
 from twocurve.optional import (_SwaptionAssembly, _boundary_root, _column_panels, _ndtr,
                                _newton_root)
-from oracles import (_swaption_x_cuts, caplet_3d_quadrature, swaption_z_quadrature,
-                     swaption_z_root_bisect)
+from oracles import (_swaption_period_rho3, _swaption_x_cuts, caplet_3d_quadrature,
+                     swaption_case, swaption_z_quadrature, swaption_z_root_bisect)
 from conftest import random_params
 
 QUICK_QUAD = QuadratureConfig(n_nodes_per_axis=64)
@@ -168,8 +167,6 @@ class TestSwaptionCase:
         """The first period's spread exponent equals minus the period C33 at
         the swaption expiry, which is strictly negative; a uniform case2
         classification is therefore impossible for any parameters."""
-        from twocurve.optional import _swaption_period_rho3
-
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = ModelParams(

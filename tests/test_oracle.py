@@ -9,6 +9,7 @@ from twocurve import (
     CapletSpec,
     FactorState,
     FraSpec,
+    InvalidTimeOrder,
     McConfig,
     ModelParams,
     SwapSpec,
@@ -24,12 +25,11 @@ from twocurve import (
     mc_price,
     ois_bond,
     q_conditional_law,
-    simulate_paths,
     swap_price,
     swaption_price,
 )
 from twocurve.oracle import _Reads, _make_grid, _run, _step_constants
-from oracles import step_constants_decimal
+from oracles import simulate_paths, step_constants_decimal
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -184,6 +184,32 @@ def test_grid_past_the_block_budget_refused():
     with pytest.raises(TwoCurveError, match="block budget"):
         _make_grid([0.25, 1.0], 1 << 16)
     assert _make_grid([5.0], 512).size == 5121
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda p, cfg: mc_bond(p, -1.0, "OIS", cfg),
+    lambda p, cfg: mc_bond(p, -1.0, "LIBOR", cfg),
+    lambda p, cfg: mc_bond(p, math.nan, "OIS", cfg),
+    lambda p, cfg: mc_bond(p, math.inf, "LIBOR", cfg),
+    lambda p, cfg: mc_price(p, FraSpec(-1.0, 0.5, 0.01), cfg),
+    lambda p, cfg: mc_price(p, SwapSpec(-1.0, 2, 0.25, 0.01), cfg),
+    lambda p, cfg: mc_price(p, CapletSpec(-0.25, 0.5, 0.01), cfg),
+    lambda p, cfg: mc_price(p, CapletSpec(-0.25, 0.5, 0.01), cfg, floorlet=True),
+    lambda p, cfg: mc_price(p, SwaptionSpec(SwapSpec(-1.0, 2, 0.25, 0.01)), cfg),
+    lambda p, cfg: mc_forward_expectation(p, -1.0, 0.5, lambda psi: psi[0], cfg),
+], ids=["ois-bond", "libor-bond", "bond-nan", "bond-inf", "fra", "swap", "caplet",
+        "floorlet", "swaption", "forward-expectation"])
+def test_dates_before_0_or_not_finite_refused(params, estimate):
+    # a date before 0 would sort into a grid that runs backwards, with NaN
+    # estimates or a finite one read off the wrong dates
+    with pytest.raises(InvalidTimeOrder):
+        estimate(params, McConfig(1000, 8, 1))
+
+
+def test_unknown_bond_curve_refused(params):
+    # any curve but "LIBOR" would otherwise price the OIS bond
+    with pytest.raises(ValueError, match="unknown curve 'libor'"):
+        mc_bond(params, 1.0, "libor", McConfig(1000, 8, 1))
 
 
 def test_step_scaling_past_the_float_range_refused(params):
