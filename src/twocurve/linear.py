@@ -82,6 +82,8 @@ class SwapSpec:
     notional: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if not 1 <= self.n <= _MAX_PERIODS:
             raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
         if self.gamma <= 0.0:

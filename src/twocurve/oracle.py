@@ -10,10 +10,15 @@ the quadrature bias with no Monte Carlo noise in the proxy.
 
 Determinism: paths are generated in fixed-size blocks of 4096 (2048
 antithetic pairs), each block drawing from its own counter-derived
-substream of the master seed, and block results are reduced in block
-order - the estimate is bit-identical regardless of how blocks are
-scheduled.  Sizes are bounded: McConfig caps n_paths and steps_per_year, and
-a grid whose block of normals passes _BLOCK_BYTES is refused unbuilt.
+substream of the master seed.  The blocks run on up to W threads, and their
+sums are reduced in block order, so the estimate is bit-identical for any W
+and any schedule.  W is the least of the CPUs this process may run on, the
+blocks, and the per-worker workspaces that fit in _BLOCK_BYTES; with W = 1
+the blocks run inline.  A workspace is one factor's normals over the grid
+and one built path, allocated by the calling thread and handed from block
+to block.  Sizes are bounded: McConfig caps n_paths and steps_per_year, and
+a grid whose block of normals, 3 x 4096 x grid points, passes _BLOCK_BYTES is
+refused unbuilt, so one workspace always fits.
 
 What is built: each estimator declares its reads (_Reads), the grid indices
 where its payoff reads the factors and those to which it reads the time
@@ -23,14 +28,15 @@ its normals, psi_i = mean_i + (deviation linear in z_i), so a factor read
 only at dates, and psi1's trapezoid integrals, are one matrix product of
 the block's normals (_linear_reads); no path of psi1 is built, nor of psi3
 but for the Libor bond.  psi2, whose square is integrated, is the one path
-built, by _paths_from_normals.  The antithetic mirror -z negates every
+built, in place, by _ou_deviation.  The antithetic mirror -z negates every
 deviation, so it costs no second pass.
 
 Same normals: every estimator draws exactly the normals that a full build
-of all three paths over its grid would, and reads them the same way; the
-OIS bond, which reads no psi3, draws the first two factors' rows, the head
-of the same substream, and the forward-measure estimator draws the grid to
-T_star but builds only [0, T].  Estimates therefore change with the
+of all three paths over its grid would, one factor after another from the
+block's substream, and reads them the same way; the OIS bond, which reads
+no psi3, draws the first two factors' rows, the head of the same substream,
+and the forward-measure estimator draws the grid to T_star but builds only
+[0, T].  Estimates therefore change with the
 rounding of the products only, never with the draws.
 
 Payoffs: FRAs, caplets, floorlets and swaps share one payoff over their
@@ -42,8 +48,12 @@ positive part of the analytic swap value at expiry.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -65,9 +75,10 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # paths per block; fixed so results never depend on scheduling
-# a block's normals, 3 x _BLOCK x grid points in float64 (5461 points);
-# antithetic blocks are half that, and the one or two paths built from them
-# and their squares come to at most as much again
+# a block's normals, 3 x _BLOCK x grid points in float64 (5461 points), are
+# refused past this; a worker's workspace, one factor's normals and one path
+# of a block, is at most 2/3 of it, and the workers' workspaces together fit
+# in it
 _BLOCK_BYTES = 512 << 20
 # OpenBLAS runs larger products on its thread pool, whose wake-up cost up to
 # 8 ms a product on a 2-CPU box: a (2048 x 192) @ (192 x 3) product took 8 ms
@@ -88,6 +99,12 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
+        for name in ("n_paths", "steps_per_year", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.antithetic, bool):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if not 1000 <= self.n_paths <= _MAX_PATHS:
             raise ValueError(f"n_paths must be in [1000, {_MAX_PATHS}], got {self.n_paths}")
         s = self.steps_per_year
@@ -150,25 +167,17 @@ def _step_constants(times: np.ndarray, b: float, sigma: float):
     return stds * np.exp(b * times[1:])
 
 
-def _paths_from_normals(z: np.ndarray, times: np.ndarray, params: ModelParams, factors):
-    """Exact OU paths of the factors `factors` (0-based, one per row of z)
-    from their standard normals z of shape (len(factors), n, n_steps).
-
-    Returns the mean path, shape (len(factors), n_steps + 1), and each
-    path's deviation from it, shape (len(factors), n, n_steps + 1): the
-    paths of z are mean + dev, those of -z mean - dev."""
-    n = z.shape[1]
-    mean = np.empty((len(factors), times.size))
-    dev = np.empty((len(factors), n, times.size))
-    for row, i in enumerate(factors):
-        b, sigma = params.b(i + 1), params.sigma(i + 1)
-        decay = np.exp(-b * times)
-        mean[row] = params.psi0[i] * decay
-        dev[row, :, 0] = 0.0
-        np.cumsum(z[row] * _step_constants(times, b, sigma)[None, :], axis=1,
-                  out=dev[row, :, 1:])
-        dev[row, :, 1:] *= decay[None, 1:]
-    return mean, dev
+def _ou_deviation(z: np.ndarray, consts: np.ndarray, decay: np.ndarray, out: np.ndarray):
+    """Exact OU paths' deviations from their mean path, into out of shape
+    (n, n_steps + 1), from one factor's standard normals z of shape
+    (n, n_steps), which are overwritten.  consts are the factor's
+    _step_constants and decay its e^{-b t} over the grid: the paths of z are
+    mean + out, those of -z mean - out."""
+    out[:, 0] = 0.0
+    z *= consts
+    np.cumsum(z, axis=1, out=out[:, 1:])
+    out[:, 1:] *= decay[1:]
+    return out
 
 
 def _linear_reads(times: np.ndarray, params: ModelParams, i: int, cols: np.ndarray):
@@ -205,24 +214,31 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_normals(seed: int, block_index: int, n: int, n_steps: int, factors: int) -> np.ndarray:
+def _substream(seed: int, block_index: int) -> np.random.Generator:
+    """The generator of one block: its own counter-derived Philox substream
+    of the master seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    rng = np.random.Generator(np.random.Philox(ss))
-    return rng.standard_normal((factors, n, n_steps))
+    return np.random.Generator(np.random.Philox(ss))
 
 
-def _blocks(config: McConfig, n_steps: int, factors: int):
-    """The standard normals of every block, in block order, each block from
-    its own substream of config.seed: shape (factors, n, n_steps) with n
-    paths, or n antithetic pairs.  Fewer factors draw the head of the same
-    substream."""
+def _block_sizes(config: McConfig) -> list:
+    """Paths per block in block order, or antithetic pairs per block."""
     if config.antithetic:
-        n_pairs_total, per_block = (config.n_paths + 1) // 2, _BLOCK // 2
+        total, per_block = (config.n_paths + 1) // 2, _BLOCK // 2
     else:
-        n_pairs_total, per_block = config.n_paths, _BLOCK
-    for block, start in enumerate(range(0, n_pairs_total, per_block)):
-        yield _block_normals(config.seed, block, min(per_block, n_pairs_total - start),
-                             n_steps, factors)
+        total, per_block = config.n_paths, _BLOCK
+    return [min(per_block, total - start) for start in range(0, total, per_block)]
+
+
+def _worker_count(blocks: int, workspace_bytes: int) -> int:
+    """Threads to run the blocks on: at most the CPUs this process may run
+    on, the blocks, and the workspaces that fit in _BLOCK_BYTES (one always
+    does: a grid is refused at 3/2 of the largest workspace)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks, _BLOCK_BYTES // workspace_bytes)
 
 
 @dataclass(frozen=True)
@@ -266,38 +282,68 @@ def _run(
     # psi1, and psi3 unless its square is integrated, enter linearly: one
     # product each with the normals; psi2 (and psi3 with reads.spread) is
     # built as a path
-    paths = (1, 2) if reads.spread else (1,)
     linear = {0: _linear_reads(grid, params, 0, np.hstack([unit, trap]))}
     if reads.at and not reads.spread:
         linear[2] = _linear_reads(grid, params, 2, unit)
     # every read is c + d on the paths of z and c - d on those of -z; the
-    # integrals of psi2^2 and psi3^2 add e, that of the squared deviation
+    # integrals of psi2^2 and psi3^2 add e, that of the squared deviation.
+    # c, the mean path's reads, is the same in every block
+    paths = {}  # factor -> (its row of the integrals, step constants, decay, cross weights)
     val_c = np.empty((reads.factors, 1, n_at))
-    int_c = np.empty((len(paths) + 1, 1, 2 * n_to))
+    int_c = np.empty((2 + reads.spread, 1, 2 * n_to))
     for i, (const, _) in linear.items():
         val_c[i, 0] = const[:n_at]
     int_c[0, 0] = linear[0][0][n_at:]
+    for row, i in enumerate((1, 2) if reads.spread else (1,), start=1):
+        b = params.b(i + 1)
+        decay = np.exp(-b * grid)
+        mean = params.psi0[i] * decay
+        val_c[i, 0] = mean[at]
+        int_c[row, 0] = mean ** 2 @ trap
+        paths[i] = (row, _step_constants(grid, b, params.sigma(i + 1)), decay,
+                    mean[:, None] * trap)
 
-    n_samples = 0
-    s1 = s2 = sc = 0.0
-    for z in _blocks(config, times.size - 1, reads.factors):
-        z = z[:, :, :end]
-        n = z.shape[1]
-        val_d = np.empty((reads.factors, n, n_at))
-        int_d = np.empty((len(paths) + 1, n, 2 * n_to))
-        int_e = np.zeros_like(int_d)
-        for i, (_, m) in linear.items():
-            d = _matmul(z[i], m)
-            val_d[i] = d[:, :n_at]
-            if i == 0:
-                int_d[0] = d[:, n_at:]
-        centre, dev = _paths_from_normals(z[paths[0]:paths[-1] + 1], grid, params, paths)
-        for row, i in enumerate(paths):
-            val_c[i, 0] = centre[row, at]
-            val_d[i] = dev[row][:, at]
-            int_c[row + 1, 0] = centre[row] ** 2 @ trap
-            int_d[row + 1] = 2.0 * _matmul(dev[row], centre[row][:, None] * trap)
-            int_e[row + 1] = _matmul(dev[row] * dev[row], trap)
+    # a worker's workspace: the normals of one factor over the whole grid,
+    # which the square of a built path reuses once they are spent, and that
+    # path
+    steps, sizes = times.size - 1, _block_sizes(config)
+    largest = max(sizes)
+    workers = _worker_count(len(sizes), 8 * largest * (steps + end + 2))
+    # allocated here, on the calling thread: blocks that allocated their own
+    # grew the process through glibc's per-thread malloc arenas
+    workspaces = queue.SimpleQueue()
+    for _ in range(workers):
+        workspaces.put((np.empty(largest * (steps + 1)), np.empty(largest * (end + 1))))
+
+    def block(index: int, n: int):
+        """(sum of the values, of their squares, of the coarse values) of
+        block `index`, n paths or antithetic pairs."""
+        normals, path = workspace = workspaces.get()
+        try:
+            rng = _substream(config.seed, index)
+            # the draws run over the whole grid, factor by factor, as one
+            # (factors, n, steps) draw would; only [0, end] is read
+            z = normals[:n * steps].reshape(n, steps)
+            dev = path[:n * (end + 1)].reshape(n, end + 1)
+            val_d = np.empty((reads.factors, n, n_at))
+            int_d = np.empty((len(int_c), n, 2 * n_to))
+            int_e = np.zeros_like(int_d)
+            for i in range(reads.factors):
+                rng.standard_normal(out=z)
+                if i in linear:
+                    d = _matmul(z[:, :end], linear[i][1])
+                    val_d[i] = d[:, :n_at]
+                    if i == 0:
+                        int_d[0] = d[:, n_at:]
+                    continue
+                row, consts, decay, cross = paths[i]
+                _ou_deviation(z[:, :end], consts, decay, dev)
+                val_d[i] = dev[:, at]
+                int_d[row] = 2.0 * _matmul(dev, cross)
+                square = np.multiply(dev, dev, out=normals[:dev.size].reshape(dev.shape))
+                int_e[row] = _matmul(square, trap)
+        finally:
+            workspaces.put(workspace)
         halves = [(val_c + val_d, int_c + int_d + int_e)]
         if config.antithetic:
             halves.append((val_c - val_d, int_c - int_d + int_e))
@@ -308,12 +354,29 @@ def _run(
                 vals_c = sum(payoff(psi, ints[:, :, n_to:]) for psi, ints in halves)
                 if config.antithetic:
                     vals, vals_c = 0.5 * vals, 0.5 * vals_c
-                s1 += float(np.sum(vals))
-                s2 += float(np.sum(vals * vals))
-                sc += float(np.sum(vals_c))
+                return float(np.sum(vals)), float(np.sum(vals * vals)), float(np.sum(vals_c))
         except FloatingPointError as exc:
             raise TwoCurveError(f"a simulated payoff passes the float range ({exc})") from exc
-        n_samples += n
+
+    if workers == 1:
+        sums = [block(index, n) for index, n in enumerate(sizes)]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # each block in a copy of the caller's context, which holds
+            # numpy's error state
+            futures = [pool.submit(contextvars.copy_context().run, block, index, n)
+                       for index, n in enumerate(sizes)]
+            try:
+                # in block order: the first block to fail raises
+                sums = [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
+    # reduced in block order, whatever order the blocks ran in
+    s1 = s2 = sc = 0.0
+    for b1, b2, bc in sums:
+        s1, s2, sc = s1 + b1, s2 + b2, sc + bc
+    n_samples = sum(sizes)
     mean = s1 / n_samples
     var = max(0.0, s2 / n_samples - mean * mean)
     se = math.sqrt(var / n_samples)
@@ -363,6 +426,8 @@ def mc_forward_expectation(
     from the closed-form bond and the trapezoid bank account.
 
     payoff takes the factor values at T, shape (3, n), and returns (n,).
+    It may run on a worker thread, concurrently with its calls for other
+    blocks of paths.
     """
     p0 = ois_bond(FactorState(0.0, params.psi0), T_star, params).value
     cb = coeffs.bundle(T, T_star, params)

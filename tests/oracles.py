@@ -41,7 +41,7 @@ from twocurve import InvalidTimeOrder, coeffs, expectation_coeffs, ois_bond
 from twocurve.measures import ForwardMoments, forward_moments
 from twocurve.model import FactorState
 from twocurve.optional import _period_rows
-from twocurve.oracle import _blocks, _make_grid, _paths_from_normals
+from twocurve.oracle import _block_sizes, _make_grid, _ou_deviation, _step_constants, _substream
 
 
 def rk4_backward(f, terminal: float, t_hi: float, t_lo: float, n_steps: int) -> float:
@@ -439,6 +439,15 @@ def step_constants_decimal(times, b: float, sigma: float) -> list:
     return out
 
 
+def _blocks(config, n_steps: int, factors: int):
+    """The standard normals of every block, in block order, each block from
+    its own substream of config.seed: shape (factors, n, n_steps) with n
+    paths, or n antithetic pairs.  The estimators draw the same numbers
+    factor by factor."""
+    for block, n in enumerate(_block_sizes(config)):
+        yield _substream(config.seed, block).standard_normal((factors, n, n_steps))
+
+
 def simulate_paths(params, horizon: float, config):
     """Materialize the full factor-path ensemble up to the horizon, from the
     blocks the estimators draw, each followed by its antithetic mirror.
@@ -450,8 +459,14 @@ def simulate_paths(params, horizon: float, config):
     times = _make_grid([horizon], config.steps_per_year)
     chunks = []
     for z in _blocks(config, times.size - 1, 3):
-        mean, dev = _paths_from_normals(z, times, params, (0, 1, 2))
-        chunks.append(mean[:, None, :] + dev)
+        mean = np.empty((3, 1, times.size))
+        dev = np.empty((3, z.shape[1], times.size))
+        for i in range(3):
+            b = params.b(i + 1)
+            decay = np.exp(-b * times)
+            mean[i] = params.psi0[i] * decay
+            _ou_deviation(z[i], _step_constants(times, b, params.sigma(i + 1)), decay, dev[i])
+        chunks.append(mean + dev)
         if config.antithetic:
-            chunks.append(mean[:, None, :] - dev)
+            chunks.append(mean - dev)
     return times, np.concatenate(chunks, axis=1)

@@ -196,6 +196,9 @@ def test_period_count_is_bounded():
         SwapSpec(0.5, 4097, 0.25, 0.01)
     with pytest.raises(ValueError):
         SwapSpec(0.5, 0, 0.25, 0.01)
+    for n in (2.0, True):
+        with pytest.raises(ValueError, match="n must be an int"):
+            SwapSpec(0.5, n, 0.25, 0.01)
     assert SwapSpec(0.5, 4096, 0.25, 0.01).pay_date(4096) == 1024.5
 
 

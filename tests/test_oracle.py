@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from twocurve import (
     mc_forward_expectation,
     mc_price,
     ois_bond,
+    oracle,
     q_conditional_law,
     swap_price,
     swaption_price,
@@ -174,6 +177,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="steps_per_year"):
         McConfig(steps_per_year=1 << 17)
     McConfig(n_paths=100_000_000, steps_per_year=1 << 16)
+    # not ints, or not a bool, refused rather than coerced or failing in the draw
+    for name, bad in [("n_paths", 1000.5), ("n_paths", True), ("steps_per_year", 64.0),
+                      ("steps_per_year", True), ("seed", 1.5), ("seed", True),
+                      ("antithetic", "no"), ("antithetic", 1)]:
+        with pytest.raises(ValueError, match=name):
+            McConfig(**{name: bad})
 
 
 def test_grid_past_the_block_budget_refused():
@@ -344,3 +353,61 @@ def test_estimates_are_pinned(params, name, antithetic):
     assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
     assert abs(est.bias_proxy - bias) <= 1e-15
     assert est.n_paths == n_paths
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimates_do_not_depend_on_the_worker_count(params, monkeypatch, antithetic):
+    # 10,000 paths are 3 blocks: inline on one worker, in a pool on two
+    config = McConfig(n_paths=10_000, steps_per_year=16, seed=8, antithetic=antithetic)
+    names = sorted({name for name, _ in _PINS})
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(oracle, "_worker_count", lambda *_: workers)
+        got[workers] = [_pinned_estimate(params, name, config) for name in names]
+        seen = set()
+        mc_forward_expectation(params, 1.0, 1.5,
+                               lambda psi: seen.add(threading.get_ident()) or psi[0], config)
+        assert (threading.get_ident() in seen) == (workers == 1)
+        # the caller's numpy error state holds on every worker
+        with np.errstate(invalid="raise"), pytest.raises(TwoCurveError, match="invalid"):
+            mc_forward_expectation(params, 1.0, 1.5, lambda psi: np.sqrt(-1.0 - psi[0] ** 2),
+                                   config)
+    assert got[1] == got[2]
+
+
+def test_workers_never_share_a_workspace(params, monkeypatch):
+    # five workers for five blocks, more than the CPUs, switching threads
+    # every 10 us: two blocks on one workspace would move the estimate
+    config = McConfig(n_paths=20_000, steps_per_year=16, seed=9)
+    swap = SwapSpec(0.5, 4, 0.25, 0.01)
+    monkeypatch.setattr(oracle, "_worker_count", lambda *_: 1)
+    want = mc_price(params, swap, config)
+    monkeypatch.setattr(oracle, "_worker_count", lambda *_: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [mc_price(params, swap, config) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+def test_first_failing_block_raises_and_the_pool_closes(params, monkeypatch):
+    # 5000 paths are blocks of 4096 and 904 paths, on two workers
+    monkeypatch.setattr(oracle, "_worker_count", lambda *_: 2)
+    config = McConfig(n_paths=5000, steps_per_year=8, seed=3, antithetic=False)
+
+    def overflow_in_second(psi):
+        return np.exp(1e3 * np.ones(psi.shape[1])) if psi.shape[1] == 904 else psi[0]
+
+    def fail_in_both(psi):
+        # the smaller second block fails too, most likely first in time
+        if psi.shape[1] == 904:
+            raise ValueError("second block")
+        return np.exp(1e3 * np.ones(psi.shape[1]))
+
+    before = threading.active_count()
+    for payoff in (overflow_in_second, fail_in_both):
+        with pytest.raises(TwoCurveError, match="passes the float range"):
+            mc_forward_expectation(params, 1.0, 1.5, payoff, config)
+        assert threading.active_count() == before
