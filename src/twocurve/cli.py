@@ -438,11 +438,11 @@ def run(scenario_path: str, out_dir: str = ".", force_mc: bool = False,
                 p = ois_bond(state, T, sc.params).value
                 pb = libor_bond(state, T, sc.params).value
                 v = linear.v_single(state, T, cd.delta, sc.params)
-                vb = linear.v_multi(state, T, cd.delta, sc.params)
-                curve_rows.append((
-                    T, p, pb, (v - 1.0) / cd.delta, (vb - 1.0) / cd.delta,
-                    linear.adjustment(state, T, cd.delta, sc.params),
-                    linear.residual(state.t, T, cd.delta, sc.params)))
+                ad = linear.adjustment(state, T, cd.delta, sc.params)
+                res = linear.residual(state.t, T, cd.delta, sc.params)
+                # v_multi's own product, v * Ad * Res
+                curve_rows.append((T, p, pb, (v - 1.0) / cd.delta,
+                                   (v * ad * res - 1.0) / cd.delta, ad, res))
         except (TwoCurveError, ArithmeticError) as exc:
             print(f"error: curve_dump at T={T}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)

@@ -326,7 +326,7 @@ def _caplet_slack(caplet: CapletSpec, params: ModelParams):
         raise DegenerateSpreadFactor(
             "C33 coefficient vanishes over the accrual period"
         )
-    kb, w0 = (1.0 + params.kappa) * cb.B1, math.log(caplet.r_tilde) - cb.A_bar
+    kb, w0 = cb.B1_bar, math.log(caplet.r_tilde) - cb.A_bar
     return cb, kb, lambda x, y: w0 - cb.C22 * y * y - kb * x
 
 

@@ -10,15 +10,15 @@ the quadrature bias with no Monte Carlo noise in the proxy.
 
 Determinism: paths are generated in fixed-size blocks of 4096 (2048
 antithetic pairs), each block drawing from its own counter-derived
-substream of the master seed.  The blocks run on up to W threads, and their
-sums are reduced in block order, so the estimate is bit-identical for any W
-and any schedule.  W is the least of the CPUs this process may run on, the
-blocks, and the per-worker workspaces that fit in _BLOCK_BYTES; with W = 1
-the blocks run inline.  A workspace is one factor's normals over the grid
-and one built path, allocated by the calling thread and handed from block
-to block.  Sizes are bounded: McConfig caps n_paths and steps_per_year, and
-a grid whose block of normals, 3 x 4096 x grid points, passes _BLOCK_BYTES is
-refused unbuilt, so one workspace always fits.
+substream of the master seed.  The blocks run on a pool of W threads, W = 1
+included, and their sums are reduced in block order, so the estimate is
+bit-identical for any W and any schedule.  W is the least of the CPUs this
+process may run on, the blocks, and the per-worker workspaces that fit in
+_BLOCK_BYTES.  A workspace is one factor's normals over the grid and one
+built path, allocated by the calling thread and taken by one worker thread
+for all its blocks.  Sizes are bounded: McConfig caps n_paths and
+steps_per_year, and a grid whose block of normals, 3 x 4096 x grid points,
+passes _BLOCK_BYTES is refused unbuilt, so one workspace always fits.
 
 What is built: each estimator declares its reads (_Reads), the grid indices
 where its payoff reads the factors and those to which it reads the time
@@ -51,8 +51,8 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -82,7 +82,10 @@ _BLOCK = 4096  # paths per block; fixed so results never depend on scheduling
 _BLOCK_BYTES = 512 << 20
 # OpenBLAS runs larger products on its thread pool, whose wake-up cost up to
 # 8 ms a product on a 2-CPU box: a (2048 x 192) @ (192 x 3) product took 8 ms
-# whole against 0.2 ms in row blocks of at most this many multiply-adds
+# whole against 0.2 ms in row blocks of at most this many multiply-adds.  A
+# 100k-path caplet mc_price (64 steps a year, best of 5, 2 CPUs) took 0.31 s
+# with row blocks against 0.51 s without, a 20-period swap 1.53 s against
+# 2.06 s; with OPENBLAS_NUM_THREADS=1 the two were equal
 _MATMUL_MADDS = 1 << 18
 _MAX_PATHS = 100_000_000
 _MAX_STEPS_PER_YEAR = 1 << 16
@@ -310,40 +313,41 @@ def _run(
     largest = max(sizes)
     workers = _worker_count(len(sizes), 8 * largest * (steps + end + 2))
     # allocated here, on the calling thread: blocks that allocated their own
-    # grew the process through glibc's per-thread malloc arenas
-    workspaces = queue.SimpleQueue()
-    for _ in range(workers):
-        workspaces.put((np.empty(largest * (steps + 1)), np.empty(largest * (end + 1))))
+    # grew the process through glibc's per-thread malloc arenas; each worker
+    # thread takes one as it starts
+    workspaces = [(np.empty(largest * (steps + 1)), np.empty(largest * (end + 1)))
+                  for _ in range(workers)]
+    local = threading.local()
+
+    def take_workspace():
+        local.workspace = workspaces.pop()
 
     def block(index: int, n: int):
         """(sum of the values, of their squares, of the coarse values) of
         block `index`, n paths or antithetic pairs."""
-        normals, path = workspace = workspaces.get()
-        try:
-            rng = _substream(config.seed, index)
-            # the draws run over the whole grid, factor by factor, as one
-            # (factors, n, steps) draw would; only [0, end] is read
-            z = normals[:n * steps].reshape(n, steps)
-            dev = path[:n * (end + 1)].reshape(n, end + 1)
-            val_d = np.empty((reads.factors, n, n_at))
-            int_d = np.empty((len(int_c), n, 2 * n_to))
-            int_e = np.zeros_like(int_d)
-            for i in range(reads.factors):
-                rng.standard_normal(out=z)
-                if i in linear:
-                    d = _matmul(z[:, :end], linear[i][1])
-                    val_d[i] = d[:, :n_at]
-                    if i == 0:
-                        int_d[0] = d[:, n_at:]
-                    continue
-                row, consts, decay, cross = paths[i]
-                _ou_deviation(z[:, :end], consts, decay, dev)
-                val_d[i] = dev[:, at]
-                int_d[row] = 2.0 * _matmul(dev, cross)
-                square = np.multiply(dev, dev, out=normals[:dev.size].reshape(dev.shape))
-                int_e[row] = _matmul(square, trap)
-        finally:
-            workspaces.put(workspace)
+        normals, path = local.workspace
+        rng = _substream(config.seed, index)
+        # the draws run over the whole grid, factor by factor, as one
+        # (factors, n, steps) draw would; only [0, end] is read
+        z = normals[:n * steps].reshape(n, steps)
+        dev = path[:n * (end + 1)].reshape(n, end + 1)
+        val_d = np.empty((reads.factors, n, n_at))
+        int_d = np.empty((len(int_c), n, 2 * n_to))
+        int_e = np.zeros_like(int_d)
+        for i in range(reads.factors):
+            rng.standard_normal(out=z)
+            if i in linear:
+                d = _matmul(z[:, :end], linear[i][1])
+                val_d[i] = d[:, :n_at]
+                if i == 0:
+                    int_d[0] = d[:, n_at:]
+                continue
+            row, consts, decay, cross = paths[i]
+            _ou_deviation(z[:, :end], consts, decay, dev)
+            val_d[i] = dev[:, at]
+            int_d[row] = 2.0 * _matmul(dev, cross)
+            square = np.multiply(dev, dev, out=normals[:dev.size].reshape(dev.shape))
+            int_e[row] = _matmul(square, trap)
         halves = [(val_c + val_d, int_c + int_d + int_e)]
         if config.antithetic:
             halves.append((val_c - val_d, int_c - int_d + int_e))
@@ -358,20 +362,13 @@ def _run(
         except FloatingPointError as exc:
             raise TwoCurveError(f"a simulated payoff passes the float range ({exc})") from exc
 
-    if workers == 1:
-        sums = [block(index, n) for index, n in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # each block in a copy of the caller's context, which holds
-            # numpy's error state
-            futures = [pool.submit(contextvars.copy_context().run, block, index, n)
-                       for index, n in enumerate(sizes)]
-            try:
-                # in block order: the first block to fail raises
-                sums = [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
+    with ThreadPoolExecutor(workers, initializer=take_workspace) as pool:
+        # each block in a copy of the caller's context, which holds numpy's
+        # error state; map yields in block order, so the first block to fail
+        # raises, and cancels the blocks not yet started
+        contexts = [contextvars.copy_context() for _ in sizes]
+        sums = list(pool.map(lambda context, index, n: context.run(block, index, n),
+                             contexts, range(len(sizes)), sizes))
     # reduced in block order, whatever order the blocks ran in
     s1 = s2 = sc = 0.0
     for b1, b2, bc in sums:
@@ -426,7 +423,7 @@ def mc_forward_expectation(
     from the closed-form bond and the trapezoid bank account.
 
     payoff takes the factor values at T, shape (3, n), and returns (n,).
-    It may run on a worker thread, concurrently with its calls for other
+    It runs on a worker thread, concurrently with its calls for other
     blocks of paths.
     """
     p0 = ois_bond(FactorState(0.0, params.psi0), T_star, params).value

@@ -15,7 +15,7 @@ from twocurve.curves import libor_bond, ois_bond
 from twocurve.linear import FraSpec, SwapSpec
 from twocurve.model import FactorState, ModelParams
 from twocurve.optional import CapletSpec, QuadratureConfig, SwaptionSpec
-from twocurve.oracle import McConfig
+from twocurve.oracle import McConfig, mc_price
 
 PARAMS = {
     "b1": 0.5, "b2": 0.3, "b3": 0.4,
@@ -176,6 +176,29 @@ def test_antithetic_must_be_a_json_boolean(tmp_path, capsys):
 def test_products_must_be_a_list(tmp_path, capsys):
     assert run(_write(tmp_path, _scenario(5)), str(tmp_path)) == 2
     assert "products" in capsys.readouterr().err
+
+
+BOND = {"type": "bond", "T": 1.0, "curve": "OIS"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_scenario([BOND])], "scenario: expected a JSON object"),
+    (_scenario([BOND], outputs="prices"), "outputs: expected a list"),
+    (_scenario([BOND], outputs=["plots"]), "outputs[0]: unknown output request 'plots'"),
+    (_scenario([{**BOND, "curve": "libor"}]),
+     "products[0]: curve must be 'OIS' or 'LIBOR', got 'libor'"),
+    (_scenario([{**BOND, "curve": 1}]), "products[0].curve: expected a string, got 1"),
+    (_scenario([{"type": "swap", "T0": 0.5, "n": 2.5, "gamma": 0.25, "R": 0.01}]),
+     "products[0].n: expected an integer, got 2.5"),
+    (_scenario([BOND], state={"psi": [0.01, 0.05]}), "state.psi: expected a list of 3 numbers"),
+    ({**_scenario([BOND]), "params": {**PARAMS, "sigma1": 0.0}},
+     "params: coefficient 'sigma1' must be strictly positive"),
+], ids=["not-an-object", "outputs-not-a-list", "unknown-output", "bond-curve",
+        "not-a-string", "not-an-integer", "short-list", "zero-sigma"])
+def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys, doc, message):
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "prices.csv").exists()
 
 
 def test_curve_dump_grid_entries_must_be_numbers(tmp_path, capsys):
@@ -435,6 +458,28 @@ def test_simulated_payoff_overflow_exits_3(tmp_path, capsys):
     doc["params"]["sigma2"] = 1000.0
     assert run(_write(tmp_path, doc), str(tmp_path)) == 3
     assert "passes the float range" in capsys.readouterr().err
+
+
+def test_cap_monte_carlo_adds_its_caplets(tmp_path):
+    # caplet k on seed + k + 1: the means add, and so do the variances
+    doc = _scenario([{"type": "cap", "T0": 0.5, "n": 3, "delta": 0.5, "R": 0.012}],
+                    mc={"n_paths": 1000, "steps_per_year": 16, "seed": 5})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 0
+    with open(tmp_path / "prices.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    ests = [mc_price(MODEL, CapletSpec(0.5 + 0.5 * k, 0.5, 0.012), McConfig(1000, 16, 6 + k))
+            for k in range(3)]
+    assert float(row["mc_mean"]) == sum(e.mean for e in ests)
+    assert float(row["mc_std_error"]) == math.sqrt(sum(e.std_error ** 2 for e in ests))
+
+
+def test_time_integral_bias_exits_4(tmp_path, capsys):
+    # one fine step a half year: the trapezoid bias of the bank account is
+    # 19 standard errors
+    doc = _scenario([BOND], mc={"n_paths": 1000, "steps_per_year": 1, "seed": 3})
+    assert run(_write(tmp_path, doc), str(tmp_path)) == 4
+    assert "error: product 0 (bond): time-integral bias" in capsys.readouterr().err
+    assert not (tmp_path / "prices.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [("n_paths", 100_000_001),

@@ -1,9 +1,11 @@
 """Property: any valid parameters and finite horizons give a finite price or
-a TwoCurveError, never a bare OverflowError, a NaN or a numpy warning."""
+a TwoCurveError, never a bare OverflowError, a NaN or a numpy warning; and
+each input outside the domain is refused by name."""
 
 import math
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,17 +13,25 @@ from twocurve import (
     CapletSpec,
     FactorState,
     FraSpec,
+    GaussianLaw,
+    InvalidTimeOrder,
+    McConfig,
+    McEstimate,
     ModelParams,
     QuadratureConfig,
     SwapSpec,
     SwaptionSpec,
     TwoCurveError,
+    adjustment,
     caplet_price,
     fair_fra_rate,
     fair_swap_rate,
     floorlet_price,
+    forward_moments,
     fra_price,
+    inst_forward,
     libor_bond,
+    mc_price,
     ois_bond,
     swap_price,
     swaption_price,
@@ -71,3 +81,40 @@ def test_valid_inputs_price_finite_or_raise_two_curve_error(params, T, delta, R,
         except TwoCurveError:
             return
     assert math.isfinite(value), f"{name}: {value}"
+
+
+# (call on the README parameters, the error it raises, its message)
+REFUSALS = {
+    "fra-delta": (lambda p: FraSpec(1.0, 0.0, 0.01), ValueError, "delta must be > 0"),
+    "caplet-delta": (lambda p: CapletSpec(1.0, -0.5, 0.01), ValueError, "delta must be > 0"),
+    "caplet-1+delta*R": (lambda p: CapletSpec(1.0, 0.5, -2.0), ValueError,
+                         r"1 \+ delta\*R > 0"),
+    "swap-gamma": (lambda p: SwapSpec(0.5, 4, 0.0, 0.01), ValueError, "gamma must be > 0"),
+    "quadrature-nodes": (lambda p: QuadratureConfig(8), ValueError, ">= 16"),
+    "swaption-T0": (lambda p: swaption_price(SwaptionSpec(SwapSpec(0.0, 4, 0.25, 0.01)), p),
+                    InvalidTimeOrder, "t=0.0, T=0.0"),
+    "forward-moments-after-T*": (lambda p: forward_moments(2.0, 1.0, p), InvalidTimeOrder,
+                                 "t=2.0, T=1.0"),
+    "forward-moments-before-0": (lambda p: forward_moments(-0.5, 1.0, p), InvalidTimeOrder,
+                                 "t=0.0, T=-0.5"),
+    "inst-forward-after-T": (lambda p: inst_forward(FactorState(1.0, p.psi0), 0.5, p),
+                             InvalidTimeOrder, "t=1.0, T=0.5"),
+    "inst-forward-curve": (lambda p: inst_forward(_state(p), 1.0, p, "libor"), ValueError,
+                           "unknown curve 'libor'"),
+    "gaussian-variance": (lambda p: GaussianLaw(0.0, -1.0), ValueError, "variance must be >= 0"),
+    "mc-std-error": (lambda p: McEstimate(0.0, -1.0, 1000, 0.0), ValueError,
+                     "std_error must be >= 0"),
+    "mc-product": (lambda p: mc_price(p, object(), McConfig(1000, 8)), TypeError,
+                   "unsupported product type object"),
+    # exp(kappa B1 mean + (kappa B1)^2 variance / 2) of psi1 passes the float range
+    "adjustment-overflow": (lambda p: adjustment(_state(p), 1.0, 0.5, ModelParams(
+        p.b1, p.b2, p.b3, p.sigma1, p.sigma2, p.sigma3, kappa=1e5, psi0=p.psi0)),
+        TwoCurveError, r"adjustment factor over \[1.0, 1.5\] overflows"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_inputs_outside_the_domain_are_refused(params, name):
+    call, error, match = REFUSALS[name]
+    with pytest.raises(error, match=match):
+        call(params)

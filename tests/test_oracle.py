@@ -357,7 +357,7 @@ def test_estimates_are_pinned(params, name, antithetic):
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimates_do_not_depend_on_the_worker_count(params, monkeypatch, antithetic):
-    # 10,000 paths are 3 blocks: inline on one worker, in a pool on two
+    # 10,000 paths are 3 blocks, on a pool of one worker or of two
     config = McConfig(n_paths=10_000, steps_per_year=16, seed=8, antithetic=antithetic)
     names = sorted({name for name, _ in _PINS})
     got = {}
@@ -367,7 +367,7 @@ def test_estimates_do_not_depend_on_the_worker_count(params, monkeypatch, antith
         seen = set()
         mc_forward_expectation(params, 1.0, 1.5,
                                lambda psi: seen.add(threading.get_ident()) or psi[0], config)
-        assert (threading.get_ident() in seen) == (workers == 1)
+        assert seen and threading.get_ident() not in seen
         # the caller's numpy error state holds on every worker
         with np.errstate(invalid="raise"), pytest.raises(TwoCurveError, match="invalid"):
             mc_forward_expectation(params, 1.0, 1.5, lambda psi: np.sqrt(-1.0 - psi[0] ** 2),
@@ -393,8 +393,7 @@ def test_workers_never_share_a_workspace(params, monkeypatch):
 
 
 def test_first_failing_block_raises_and_the_pool_closes(params, monkeypatch):
-    # 5000 paths are blocks of 4096 and 904 paths, on two workers
-    monkeypatch.setattr(oracle, "_worker_count", lambda *_: 2)
+    # 5000 paths are blocks of 4096 and 904 paths, on one worker or two
     config = McConfig(n_paths=5000, steps_per_year=8, seed=3, antithetic=False)
 
     def overflow_in_second(psi):
@@ -407,7 +406,9 @@ def test_first_failing_block_raises_and_the_pool_closes(params, monkeypatch):
         return np.exp(1e3 * np.ones(psi.shape[1]))
 
     before = threading.active_count()
-    for payoff in (overflow_in_second, fail_in_both):
-        with pytest.raises(TwoCurveError, match="passes the float range"):
-            mc_forward_expectation(params, 1.0, 1.5, payoff, config)
-        assert threading.active_count() == before
+    for workers in (1, 2):
+        monkeypatch.setattr(oracle, "_worker_count", lambda *_: workers)
+        for payoff in (overflow_in_second, fail_in_both):
+            with pytest.raises(TwoCurveError, match="passes the float range"):
+                mc_forward_expectation(params, 1.0, 1.5, payoff, config)
+            assert threading.active_count() == before
