@@ -46,13 +46,10 @@ from .linear import (
 from .optional import (
     CapletSpec,
     QuadratureConfig,
-    RegionBoundary,
     SwaptionSpec,
     caplet_price,
-    caplet_region,
     floorlet_price,
     swaption_price,
-    swaption_region,
 )
 from .oracle import (
     McConfig,
@@ -78,8 +75,7 @@ __all__ = [
     "adjustment", "residual", "fra_price", "fair_fra_rate",
     "expectation_coeffs", "swap_price", "swap_price_via_fras",
     "fair_swap_rate", "swap_annuity",
-    "CapletSpec", "SwaptionSpec", "RegionBoundary", "QuadratureConfig",
-    "caplet_region", "caplet_price", "floorlet_price", "swaption_region",
-    "swaption_price",
+    "CapletSpec", "SwaptionSpec", "QuadratureConfig", "caplet_price",
+    "floorlet_price", "swaption_price",
     "McConfig", "McEstimate", "mc_bond", "mc_forward_expectation", "mc_price",
 ]

@@ -53,6 +53,15 @@ __all__ = [
 _MAX_PERIODS = 4096
 
 
+def _require_finite_terms(spec) -> None:
+    """Refuse a spec whose fixed rate or notional is NaN or infinite: every
+    price of it would be NaN or infinite."""
+    for name in ("R", "notional"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FraSpec:
     """Forward rate agreement: fixing at T, accrual delta, fixed rate R."""
@@ -65,6 +74,7 @@ class FraSpec:
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        _require_finite_terms(self)
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,7 @@ class SwapSpec:
             raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        _require_finite_terms(self)
 
     def pay_date(self, k: int) -> float:
         return self.T0 + k * self.gamma

@@ -49,19 +49,16 @@ from .errors import (
     RootNotBracketed,
     TwoCurveError,
 )
-from .linear import FraSpec, SwapSpec, _period_row, fra_price, swap_price
+from .linear import FraSpec, SwapSpec, _period_row, _require_finite_terms, fra_price, swap_price
 from .measures import _exp_quadratic, forward_moments
 from .model import FactorState, ModelParams
 
 __all__ = [
     "CapletSpec",
     "SwaptionSpec",
-    "RegionBoundary",
     "QuadratureConfig",
-    "caplet_region",
     "caplet_price",
     "floorlet_price",
-    "swaption_region",
     "swaption_price",
 ]
 
@@ -85,6 +82,7 @@ class CapletSpec:
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        _require_finite_terms(self)
         if 1.0 + self.delta * self.R <= 0.0:
             raise ValueError("require 1 + delta*R > 0")
 
@@ -98,16 +96,6 @@ class SwaptionSpec:
     """Option expiring at the swap's first reset date T0 to enter the swap."""
 
     swap: SwapSpec
-
-
-@dataclass(frozen=True)
-class RegionBoundary:
-    """Exercise-region membership of an (x, y) point and, when defined,
-    the two symmetric boundary roots z1 <= 0 <= z2 in the spread factor."""
-
-    in_region: bool
-    z1: float = math.nan
-    z2: float = math.nan
 
 
 # the largest rule a price may ask for: _gl_rule(n) solves a dense n x n
@@ -130,6 +118,10 @@ class QuadratureConfig:
     max_refinements: int = 3
 
     def __post_init__(self):
+        for name in ("n_nodes_per_axis", "max_refinements"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_nodes_per_axis < 16:
             raise ValueError("n_nodes_per_axis must be >= 16")
         if not 0.0 < self.truncation < math.inf:
@@ -330,24 +322,6 @@ def _caplet_slack(caplet: CapletSpec, params: ModelParams):
     return cb, kb, lambda x, y: w0 - cb.C22 * y * y - kb * x
 
 
-def caplet_region(
-    x: float, y: float, caplet: CapletSpec, params: ModelParams
-) -> RegionBoundary:
-    """Membership of (x, y) in the continuation set M (where the exercise
-    function crosses the strike level in z) and the closed-form roots.
-
-    The exercise function exp[Abar + (1+kappa)B1*x + C22*y^2 + C33*z^2]
-    is even and increasing in |z|, so membership reduces to the value at
-    z = 0 and the roots are +/- sqrt(slack / C33).
-    """
-    cb, _, slack = _caplet_slack(caplet, params)
-    w = slack(x, y)
-    if w < 0.0:
-        return RegionBoundary(in_region=False)
-    z2 = math.sqrt(w / cb.C33_bar)
-    return RegionBoundary(in_region=True, z1=-z2, z2=z2)
-
-
 def caplet_price(
     caplet: CapletSpec,
     params: ModelParams,
@@ -511,18 +485,6 @@ def _boundary_root(asm: _SwaptionAssembly, x, y):
     lh = asm.log_rg1 + np.log(np.exp(terms[n:]).sum(axis=0))
     return np.sqrt(_newton_root((terms[:n], -asm.c33t[:, None]), (lh[None], 0.0),
                                 np.zeros_like(lh), np.full_like(lh, np.inf)))
-
-
-def swaption_region(x: float, y: float, swap: SwapSpec, params: ModelParams) -> RegionBoundary:
-    """Membership of (x, y) in the set where the time-T0 swap value at z = 0
-    is at or below the fixed leg, plus the boundary roots there; mixed
-    cases raise MixedCase (from _period_rows).  With 1 + R gamma <= 0 the
-    fixed leg h is <= 0 < g, so no point is in the set."""
-    asm = _SwaptionAssembly(swap, params)
-    if float(asm.g(x, y, 0.0)) > float(asm.h(x, y)):
-        return RegionBoundary(in_region=False)
-    z2 = float(_boundary_root(asm, np.array([x]), np.array([y]))[0])
-    return RegionBoundary(in_region=True, z1=-z2, z2=z2)
 
 
 def _column_panels(asm: _SwaptionAssembly, ys, x_lo: float, x_hi: float):

@@ -90,7 +90,22 @@ REFUSALS = {
     "caplet-1+delta*R": (lambda p: CapletSpec(1.0, 0.5, -2.0), ValueError,
                          r"1 \+ delta\*R > 0"),
     "swap-gamma": (lambda p: SwapSpec(0.5, 4, 0.0, 0.01), ValueError, "gamma must be > 0"),
+    "fra-R": (lambda p: FraSpec(1.0, 0.5, math.nan), ValueError, "R must be finite"),
+    "fra-notional": (lambda p: FraSpec(1.0, 0.5, 0.01, math.inf), ValueError,
+                     "notional must be finite"),
+    "swap-R": (lambda p: SwapSpec(0.5, 4, 0.25, -math.inf), ValueError, "R must be finite"),
+    "swap-notional": (lambda p: SwapSpec(0.5, 4, 0.25, 0.01, math.nan), ValueError,
+                      "notional must be finite"),
+    "caplet-R": (lambda p: CapletSpec(1.0, 0.5, math.nan), ValueError, "R must be finite"),
+    "caplet-notional": (lambda p: CapletSpec(1.0, 0.5, 0.01, math.inf), ValueError,
+                        "notional must be finite"),
     "quadrature-nodes": (lambda p: QuadratureConfig(8), ValueError, ">= 16"),
+    "quadrature-nodes-float": (lambda p: QuadratureConfig(48.0), ValueError,
+                               "n_nodes_per_axis must be an int, got 48.0"),
+    "quadrature-refinements-float": (lambda p: QuadratureConfig(max_refinements=2.0), ValueError,
+                                     "max_refinements must be an int, got 2.0"),
+    "quadrature-refinements-bool": (lambda p: QuadratureConfig(max_refinements=True), ValueError,
+                                    "max_refinements must be an int, got True"),
     "swaption-T0": (lambda p: swaption_price(SwaptionSpec(SwapSpec(0.0, 4, 0.25, 0.01)), p),
                     InvalidTimeOrder, "t=0.0, T=0.0"),
     "forward-moments-after-T*": (lambda p: forward_moments(2.0, 1.0, p), InvalidTimeOrder,

@@ -20,7 +20,6 @@ from twocurve import (
     SwaptionSpec,
     TwoCurveError,
     caplet_price,
-    caplet_region,
     coeffs,
     fair_fra_rate,
     fair_swap_rate,
@@ -30,11 +29,10 @@ from twocurve import (
     swap_price,
     swap_price_via_fras,
     swaption_price,
-    swaption_region,
 )
 from twocurve import optional
-from twocurve.optional import (_SwaptionAssembly, _boundary_root, _column_panels, _ndtr,
-                               _newton_root)
+from twocurve.optional import (_SwaptionAssembly, _boundary_root, _caplet_slack, _column_panels,
+                               _ndtr, _newton_root)
 from oracles import (_swaption_period_rho3, _swaption_x_cuts, caplet_3d_quadrature,
                      swaption_case, swaption_z_quadrature, swaption_z_root_bisect)
 from conftest import random_params
@@ -63,29 +61,32 @@ def test_ndtr_matches_math_erfc():
 
 
 class TestCapletRegion:
+    # the pricer's own boundary: (x, y) is in the continuation set where
+    # slack >= 0, and there the z-roots are +/- sqrt(slack / C33bar)
+    CAP = CapletSpec(1.0, 0.5, 0.02)
+
     def test_boundary_point_has_zero_roots(self, params):
-        cap = CapletSpec(1.0, 0.5, 0.02)
-        cb = coeffs.bundle(1.0, 1.5, params)
+        cb, _, slack = _caplet_slack(self.CAP, params)
         y = 0.03
-        x = (math.log(cap.r_tilde) - cb.A_bar - cb.C22 * y * y) / (
+        x = (math.log(self.CAP.r_tilde) - cb.A_bar - cb.C22 * y * y) / (
             (1.0 + params.kappa) * cb.B1
         )
-        rb = caplet_region(x, y, cap, params)
-        assert rb.in_region
-        assert rb.z1 == pytest.approx(0.0, abs=1e-7)
-        assert rb.z2 == pytest.approx(0.0, abs=1e-7)
+        w = slack(x, y)
+        assert w == pytest.approx(0.0, abs=1e-15)
+        assert math.sqrt(abs(w) / cb.C33_bar) == pytest.approx(0.0, abs=1e-7)
 
     def test_far_positive_x_outside(self, params):
-        cap = CapletSpec(1.0, 0.5, 0.02)
-        assert not caplet_region(50.0, 0.0, cap, params).in_region
+        _, _, slack = _caplet_slack(self.CAP, params)
+        assert slack(50.0, 0.0) < 0.0
 
     def test_interior_plug_back(self, params):
-        cap = CapletSpec(1.0, 0.5, 0.02)
-        rb = caplet_region(-0.05, 0.01, cap, params)
-        assert rb.in_region and rb.z1 == -rb.z2
-        for z in (rb.z1, rb.z2):
-            assert _g_caplet(-0.05, 0.01, z, cap, params) == pytest.approx(
-                cap.r_tilde, rel=1e-12
+        cb, _, slack = _caplet_slack(self.CAP, params)
+        w = slack(-0.05, 0.01)
+        assert w > 0.0
+        z2 = math.sqrt(w / cb.C33_bar)
+        for z in (-z2, z2):
+            assert _g_caplet(-0.05, 0.01, z, self.CAP, params) == pytest.approx(
+                self.CAP.r_tilde, rel=1e-12
             )
 
 
@@ -214,23 +215,6 @@ class TestSwaptionRegion:
         with pytest.raises(RootNotBracketed):
             _boundary_root(asm, x[inside], y[inside])
 
-    def test_plug_back(self, params):
-        swap = SwapSpec(0.5, 4, 0.25, 0.012)
-        rb = swaption_region(-0.05, 0.01, swap, params)
-        if rb.in_region:
-            from twocurve.optional import _SwaptionAssembly
-
-            asm = _SwaptionAssembly(swap, params)
-            g = float(asm.g(rb.z2 * 0 + (-0.05), 0.01, rb.z2))
-            h = float(asm.h(-0.05, 0.01))
-            assert abs(g - h) / h < 1e-10
-            assert rb.z1 == -rb.z2
-
-    def test_membership_threshold(self, params):
-        swap = SwapSpec(0.5, 4, 0.25, 0.012)
-        assert swaption_region(-0.5, 0.0, swap, params).in_region
-        assert not swaption_region(0.5, 0.0, swap, params).in_region
-
 
 def test_newton_root_keeps_exact_roots_and_collapsed_brackets():
     # columns of F(s) = lse(g, s) - lse(h, s) on [0, hi]: F = s - 1, whose
@@ -328,7 +312,8 @@ class TestSwaptionPrice:
         swap = SwapSpec(0.5, 4, 0.25, r)
         assert swaption_price(SwaptionSpec(swap), params) == swap_price(state, swap, params)
         assert swap_price(state, swap, params) > 0.0
-        assert not swaption_region(-0.05, 0.01, swap, params).in_region
+        asm, x, y, _ = _grid_nodes(swap, params, n=16)
+        assert np.all(asm.g(x, y, 0.0) > asm.h(x, y))
 
     def test_node_doubling_converges(self, params, state):
         swap = SwapSpec(0.5, 4, 0.25, fair_swap_rate(state, SwapSpec(0.5, 4, 0.25, 0.0), params))
