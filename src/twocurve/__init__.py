@@ -18,7 +18,7 @@ from .errors import (
     RootNotBracketed,
     TwoCurveError,
 )
-from .model import FactorState, ModelParams, ValidationReport, short_rate, spread, validate
+from .model import FactorState, ModelParams, short_rate, spread, validate
 from .curves import BondQuote, inst_forward, libor_bond, libor_bond_via_ois, ois_bond
 from .measures import (
     ForwardMoments,
@@ -66,8 +66,7 @@ __all__ = [
     "QuadratureFailure", "MomentExplosion", "ExpectationSingularity",
     "MixedCase", "CapletConditionViolated", "DegenerateSpreadFactor",
     "RootNotBracketed", "BiasDominates",
-    "ModelParams", "FactorState", "ValidationReport", "short_rate", "spread",
-    "validate",
+    "ModelParams", "FactorState", "short_rate", "spread", "validate",
     "BondQuote", "ois_bond", "libor_bond", "libor_bond_via_ois", "inst_forward",
     "ForwardMoments", "GaussianLaw", "forward_moments", "q_conditional_law",
     "gaussian_exp_quadratic",

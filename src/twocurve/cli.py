@@ -13,8 +13,7 @@ Scenario layout::
       "state": {"t": 0.0, "psi": [.., .., ..]},          # optional
       "products": [ {"type": "bond", "T": 1.0, "curve": "OIS"}, ... ],
       "mc":   {"n_paths": .., "steps_per_year": .., "seed": .., "antithetic": ..},
-      "quad": {"n_nodes_per_axis": .., "truncation": .., "rel_tol": ..,
-               "max_refinements": ..},
+      "quad": {"n_nodes_per_axis": .., "rel_tol": .., "max_refinements": ..},
       "outputs": ["prices", {"curve_dump": {"grid": [..], "delta": 0.25}}]
     }
 
@@ -27,14 +26,14 @@ default.
 
 Input rules: unknown keys anywhere are an error; every number must be finite
 (JSON NaN and Infinity are refused); schema_version is the integer 1; a
-swap, swaption or cap needs n in [1, 4096], and a cap delta > 0; mc needs
-n_paths in [1000, 10^8] and steps_per_year a power of two <= 65536; the mc
-seed (and --seed) must be >= 0, and --seed needs an mc section or --mc; quad
-needs truncation finite and > 0, rel_tol >= 0, max_refinements >= 0 and
-n_nodes_per_axis * 2**max_refinements <= 2048; a curve_dump needs delta > 0
-and grid points at or after state.t.  Exit codes: 0 success, 2
-parse/validation error, 3 pricing error (including a Monte Carlo grid too
-large to simulate), 4 Monte Carlo bias failure.
+swap, swaption or cap needs n in [1, 4096], and a caplet, floorlet or cap
+delta > 0 and 1 + delta*R > 0; mc needs n_paths in [1000, 10^8] and
+steps_per_year a power of two <= 65536; the mc seed (and --seed) must be
+>= 0, and --seed needs an mc section or --mc; quad needs rel_tol >= 0,
+max_refinements >= 0 and n_nodes_per_axis * 2**max_refinements <= 2048; a
+curve_dump needs delta > 0 and grid points at or after state.t.  Exit
+codes: 0 success, 2 parse/validation error, 3 pricing error (including a
+Monte Carlo grid too large to simulate), 4 Monte Carlo bias failure.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .model import FactorState, ModelParams, validate
 from .optional import CapletSpec, QuadratureConfig, SwaptionSpec
 from .oracle import McConfig, McEstimate, mc_bond, mc_price
 
-__all__ = ["Scenario", "parse_scenario", "scenario_to_dict", "run", "main"]
+__all__ = ["Scenario", "parse_scenario", "run", "main"]
 
 
 class ScenarioError(ValueError):
@@ -85,8 +84,8 @@ class CapProduct:
     def __post_init__(self):
         if not 1 <= self.n <= _MAX_PERIODS:
             raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        # the first caplet's checks hold for all: they share delta, R and notional
+        CapletSpec(self.T0, self.delta, self.R, self.notional)
 
     def caplets(self):
         return [
@@ -101,8 +100,8 @@ class CurveDump:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be > 0 and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -265,12 +264,6 @@ def _build(cls, obj: Any, where: str, **defaults):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _to_json(obj) -> dict:
-    """The fields of a dataclass as a JSON object, tuples as lists."""
-    return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
-            for f in fields(obj)}
-
-
 def _parse_product(obj: Any, idx: int):
     where = f"products[{idx}]"
     if not isinstance(obj, dict) or "type" not in obj:
@@ -294,7 +287,7 @@ def parse_scenario(doc: Any) -> Scenario:
 
     params = _build(ModelParams, doc["params"], "params")
     try:
-        report = validate(params)
+        warnings = validate(params)
     except TwoCurveError as exc:
         raise ScenarioError(f"params: {exc}") from exc
     state = _build(FactorState, doc.get("state", {}), "state", t=0.0, psi=params.psi0)
@@ -336,25 +329,7 @@ def parse_scenario(doc: Any) -> Scenario:
 
     return Scenario(params=params, state=state, products=products, mc=mc,
                     quad=quad, want_prices=want_prices, curve_dump=curve_dump,
-                    warnings=report.warnings)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize back to the schema; parse_scenario(scenario_to_dict(sc))
-    reproduces an identical Scenario."""
-    doc: dict = {
-        "schema_version": 1,
-        "params": _to_json(sc.params),
-        "state": _to_json(sc.state),
-        "products": [{"type": kind, **_to_json(spec)} for kind, spec in sc.products],
-    }
-    if sc.mc is not None:
-        doc["mc"] = _to_json(sc.mc)
-    doc["quad"] = _to_json(sc.quad)
-    doc["outputs"] = ["prices"] if sc.want_prices else []
-    if sc.curve_dump is not None:
-        doc["outputs"].append({"curve_dump": _to_json(sc.curve_dump)})
-    return doc
+                    warnings=warnings)
 
 
 def _fmt(x) -> str:

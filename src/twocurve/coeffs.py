@@ -28,7 +28,6 @@ __all__ = [
     "b1",
     "b1_bar",
     "a_pair",
-    "a_tilde",
     "bundle",
     "c22_dT",
     "c33_bar_dT",
@@ -145,12 +144,6 @@ def a_pair(t: float, T: float, params: ModelParams) -> tuple[float, float]:
     a3 = params.sigma3 ** 2 * riccati_integral(tau, params.b3, params.sigma3)
     a1 = 0.5 * params.sigma1 ** 2 * b1_sq_integral(t, T, params)
     return a2 - a1, a2 + a3 - (1.0 + params.kappa) ** 2 * a1
-
-
-def a_tilde(t: float, T: float, params: ModelParams) -> float:
-    """Atilde = Abar - A, the log-level discrepancy between the two curves."""
-    a, abar = a_pair(t, T, params)
-    return abar - a
 
 
 def a_dT(t: float, T: float, params: ModelParams) -> float:

@@ -72,8 +72,8 @@ class FraSpec:
     notional: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be > 0 and finite, got {self.delta}")
         _require_finite_terms(self)
 
 
@@ -96,8 +96,8 @@ class SwapSpec:
             raise ValueError(f"n must be an int, got {self.n!r}")
         if not 1 <= self.n <= _MAX_PERIODS:
             raise ValueError(f"n must be in [1, {_MAX_PERIODS}], got {self.n}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
         _require_finite_terms(self)
 
     def pay_date(self, k: int) -> float:
@@ -140,7 +140,7 @@ def adjustment(state: FactorState, T: float, delta: float, params: ModelParams) 
     """
     if state.t > T:
         raise InvalidTimeOrder(state.t, T)
-    at = coeffs.a_tilde(T, T + delta, params)
+    a_p, abar_p = coeffs.a_pair(T, T + delta, params)
     b1p = coeffs.b1(T, T + delta, params)
     c33p = coeffs.c33_bar(T, T + delta, params)
     law1 = q_conditional_law(1, state.t, T, state, params)
@@ -149,7 +149,7 @@ def adjustment(state: FactorState, T: float, delta: float, params: ModelParams) 
     e_quad = gaussian_exp_quadratic(law3, c33p)
     try:
         e_lin = math.exp(a * law1.mean + 0.5 * a * a * law1.variance)
-        return math.exp(at) * e_lin * e_quad
+        return math.exp(abar_p - a_p) * e_lin * e_quad
     except OverflowError:
         raise TwoCurveError(f"the adjustment factor over [{T}, {T + delta}] overflows") from None
 

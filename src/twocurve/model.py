@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NonPositiveCoefficient
 
 __all__ = [
     "ModelParams",
     "FactorState",
-    "ValidationReport",
     "short_rate",
     "spread",
     "validate",
@@ -91,18 +90,6 @@ class FactorState:
         object.__setattr__(self, "psi", tuple(float(x) for x in self.psi))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of parameter validation: the accepted params plus warnings."""
-
-    params: ModelParams
-    warnings: tuple[str, ...] = field(default=())
-
-    @property
-    def caplet_condition(self) -> bool:
-        return self.params.caplet_condition
-
-
 def short_rate(state: FactorState, params: ModelParams) -> float:
     """OIS short rate r = psi1 + psi2^2. May be negative via the linear term."""
     p1, p2, _ = state.psi
@@ -115,9 +102,9 @@ def spread(state: FactorState, params: ModelParams) -> float:
     return params.kappa * p1 + p3 * p3
 
 
-def validate(params: ModelParams) -> ValidationReport:
+def validate(params: ModelParams) -> tuple[str, ...]:
     """Check sigma_i > 0 for pricing (ModelParams already guarantees finite
-    b_i > 0); raise NonPositiveCoefficient otherwise.
+    b_i > 0); raise NonPositiveCoefficient otherwise.  Returns the warnings.
 
     The caplet finiteness condition is reported as a warning, not an error:
     linear products and many option maturities remain priceable without it.
@@ -125,9 +112,6 @@ def validate(params: ModelParams) -> ValidationReport:
     for name in ("sigma1", "sigma2", "sigma3"):
         if not getattr(params, name) > 0.0:
             raise NonPositiveCoefficient(name)
-    warnings = []
-    if not params.caplet_condition:
-        warnings.append(
-            "b3 < sigma3/sqrt(2): caplet finiteness is not guaranteed for all maturities"
-        )
-    return ValidationReport(params=params, warnings=tuple(warnings))
+    if params.caplet_condition:
+        return ()
+    return ("b3 < sigma3/sqrt(2): caplet finiteness is not guaranteed for all maturities",)

@@ -8,7 +8,7 @@ spread factor z integrates in closed Gaussian form, for both products
 through the same tilted laws (_z_tilt, from measures._exp_quadratic, as
 for the linear pricers) and tail sum (_z_tail); neither prices sigma3 = 0.
 The (x, y) integral is one tensor Gauss-Legendre kernel for both products
-(_tensor_gl) on a +/- truncation standard-deviation box, each y-row's
+(_tensor_gl) on a +/- _TRUNCATION standard-deviation box, each y-row's
 x-line split where the exercise function at z = 0 crosses the strike.  On
 the exercise side of such a cut the z-tail grows like slack^{3/2} from the
 panel edge, an endpoint singularity that holds plain Gauss-Legendre to an
@@ -68,6 +68,8 @@ __all__ = [
 _BLOCK = 1 << 14
 _N_SCAN = 256
 _NEWTON_MAX_ITER = 100
+# half-width of the (x, y) quadrature box, in standard deviations
+_TRUNCATION = 8.0
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class CapletSpec:
     notional: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be > 0 and finite, got {self.delta}")
         _require_finite_terms(self)
         if 1.0 + self.delta * self.R <= 0.0:
             raise ValueError("require 1 + delta*R > 0")
@@ -108,12 +110,11 @@ class QuadratureConfig:
     """Refinement of the option quadrature: estimates on the half-octave
     ladder n, 4n/3, 2n, 8n/3, ... up to n * 2**max_refinements nodes per
     axis (at most 2048; max_refinements counts octaves), until two in a row
-    agree to rel_tol; (x, y) is truncated at +/- truncation standard
+    agree to rel_tol; (x, y) is truncated at +/- _TRUNCATION standard
     deviations.  The rule's endpoint map (_gl_rule) makes the error fall
     spectrally, so the default 48 nodes usually stop at 64."""
 
     n_nodes_per_axis: int = 48
-    truncation: float = 8.0
     rel_tol: float = 1e-7
     max_refinements: int = 3
 
@@ -124,8 +125,6 @@ class QuadratureConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_nodes_per_axis < 16:
             raise ValueError("n_nodes_per_axis must be >= 16")
-        if not 0.0 < self.truncation < math.inf:
-            raise ValueError(f"truncation must be finite and > 0, got {self.truncation}")
         if not 0.0 <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if self.max_refinements < 0:
@@ -260,8 +259,7 @@ def _z_tail(ge, h, z2, sq, shift, fm):
     return (ge * (p[:n] + p[n:2 * n])).sum(axis=0) - h * (p[-2] + p[-1])
 
 
-def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
-               width: int = 1) -> float:
+def _tensor_gl(n: int, fm, cuts, member, integrand, width: int = 1) -> float:
     """E[integrand] over (x, y) ~ N(alpha, beta) on the truncated box.
 
     cuts(ys, x_lo, x_hi) returns the points (row index, x) where the y-rows'
@@ -274,10 +272,10 @@ def _tensor_gl(n: int, quad: QuadratureConfig, fm, cuts, member, integrand,
     gx, gw = _gl_rule(n)
     (a1, a2, _), (b1v, b2v, _) = fm.alpha, fm.beta
     s1, s2 = math.sqrt(b1v), math.sqrt(b2v)
-    y_lo, y_hi = a2 - quad.truncation * s2, a2 + quad.truncation * s2
+    y_lo, y_hi = a2 - _TRUNCATION * s2, a2 + _TRUNCATION * s2
     ys = 0.5 * (y_hi + y_lo) + 0.5 * (y_hi - y_lo) * gx
     wys = 0.5 * (y_hi - y_lo) * gw * _normal_pdf(ys, a2, s2)
-    x_lo, x_hi = a1 - quad.truncation * s1, a1 + quad.truncation * s1
+    x_lo, x_hi = a1 - _TRUNCATION * s1, a1 + _TRUNCATION * s1
     row, cut = cuts(ys, x_lo, x_hi)
     # each row's edges x_lo, cuts, x_hi in order: consecutive edges of one
     # row bound a panel
@@ -365,7 +363,7 @@ def caplet_price(
         return val
 
     def estimate(n: int) -> float:
-        return p0 * _tensor_gl(n, quad, fm, cuts, lambda x, y: slack(x, y) >= 0.0, integrand)
+        return p0 * _tensor_gl(n, fm, cuts, lambda x, y: slack(x, y) >= 0.0, integrand)
 
     return caplet.notional * _refine(estimate, quad)
 
@@ -555,7 +553,7 @@ def swaption_price(
         return val
 
     def estimate(n: int) -> float:
-        return p0 * _tensor_gl(n, quad, fm, partial(_column_panels, asm),
+        return p0 * _tensor_gl(n, fm, partial(_column_panels, asm),
                                lambda x, y: asm.g(x, y, 0.0) <= asm.h(x, y), integrand, swap.n)
 
     # past the float range (horizons or accruals near 1e300 or 1e-300) the

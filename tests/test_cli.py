@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twocurve import cli, linear, optional
-from twocurve.cli import (CapProduct, ScenarioError, main, parse_scenario, run,
-                          scenario_to_dict)
+from twocurve.cli import (CapProduct, CurveDump, Scenario, ScenarioError, main,
+                          parse_scenario, run)
 from twocurve.curves import libor_bond, ois_bond
 from twocurve.linear import FraSpec, SwapSpec
 from twocurve.model import FactorState, ModelParams
@@ -50,8 +50,25 @@ def test_round_trip_identity():
         mc={"n_paths": 4096, "steps_per_year": 32, "seed": 9},
         outputs=["prices", {"curve_dump": {"grid": [0.5, 1.0], "delta": 0.25}}],
     )
-    sc = parse_scenario(doc)
-    assert parse_scenario(scenario_to_dict(sc)) == sc
+    params = ModelParams(**{**PARAMS, "psi0": tuple(PARAMS["psi0"])})
+    assert parse_scenario(doc) == Scenario(
+        params=params,
+        state=FactorState(0.0, params.psi0),
+        products=(
+            ("bond", cli.BondProduct(1.0, "OIS")),
+            ("fra", FraSpec(1.0, 0.5, 0.01)),
+            ("swap", SwapSpec(0.5, 4, 0.25, 0.01)),
+            ("caplet", CapletSpec(1.0, 0.5, 0.012)),
+            ("floorlet", CapletSpec(1.0, 0.5, 0.012)),
+            ("swaption", SwapSpec(0.5, 4, 0.25, 0.01)),
+            ("cap", CapProduct(0.5, 3, 0.5, 0.012)),
+        ),
+        mc=McConfig(n_paths=4096, steps_per_year=32, seed=9),
+        quad=QuadratureConfig(),
+        want_prices=True,
+        curve_dump=CurveDump((0.5, 1.0), 0.25),
+        warnings=(),
+    )
 
 
 def test_bond_at_valuation_date_is_par(tmp_path, capsys):
@@ -193,8 +210,10 @@ BOND = {"type": "bond", "T": 1.0, "curve": "OIS"}
     (_scenario([BOND], state={"psi": [0.01, 0.05]}), "state.psi: expected a list of 3 numbers"),
     ({**_scenario([BOND]), "params": {**PARAMS, "sigma1": 0.0}},
      "params: coefficient 'sigma1' must be strictly positive"),
+    (_scenario([{"type": "cap", "T0": 0.5, "n": 3, "delta": 0.5, "R": -3.0}]),
+     "products[0]: require 1 + delta*R > 0"),
 ], ids=["not-an-object", "outputs-not-a-list", "unknown-output", "bond-curve",
-        "not-a-string", "not-an-integer", "short-list", "zero-sigma"])
+        "not-a-string", "not-an-integer", "short-list", "zero-sigma", "cap-1+delta*R"])
 def test_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys, doc, message):
     assert run(_write(tmp_path, doc), str(tmp_path)) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -356,13 +375,17 @@ def test_curve_dump_pricing_error_exit_code(tmp_path, capsys):
     ("max_refinements", -1),
 ])
 def test_quadrature_config_rejects_values_that_misprice(tmp_path, capsys, field, value):
-    with pytest.raises(ValueError, match=field):
+    # truncation is no field: the box is fixed at optional._TRUNCATION standard deviations
+    fixed = field == "truncation"
+    with pytest.raises(TypeError if fixed else ValueError, match=field):
         QuadratureConfig(**{field: value})
     doc = _scenario([{"type": "caplet", "T": 1.0, "delta": 0.5, "R": 0.012}],
                     quad={field: value})
     assert run(_write(tmp_path, doc), str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "quad" in err and field in err
+    if fixed:
+        assert "quad: unknown key 'truncation'" in err
 
 
 def test_quadrature_size_bound_exits_2(tmp_path, capsys):

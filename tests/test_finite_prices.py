@@ -36,6 +36,7 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
+from twocurve.cli import CapProduct, CurveDump
 
 QUICK = QuadratureConfig(n_nodes_per_axis=16, rel_tol=1e-3, max_refinements=1)
 
@@ -90,6 +91,23 @@ REFUSALS = {
     "caplet-1+delta*R": (lambda p: CapletSpec(1.0, 0.5, -2.0), ValueError,
                          r"1 \+ delta\*R > 0"),
     "swap-gamma": (lambda p: SwapSpec(0.5, 4, 0.0, 0.01), ValueError, "gamma must be > 0"),
+    # a NaN or infinite accrual would surface later as a date never given
+    "fra-delta-nan": (lambda p: FraSpec(1.0, math.nan, 0.01), ValueError,
+                      "delta must be > 0 and finite, got nan"),
+    "fra-delta-inf": (lambda p: FraSpec(1.0, math.inf, 0.01), ValueError,
+                      "delta must be > 0 and finite, got inf"),
+    "swap-gamma-nan": (lambda p: SwapSpec(0.5, 4, math.nan, 0.01), ValueError,
+                       "gamma must be > 0 and finite, got nan"),
+    "swap-gamma-inf": (lambda p: SwapSpec(0.5, 4, math.inf, 0.01), ValueError,
+                       "gamma must be > 0 and finite, got inf"),
+    "caplet-delta-nan": (lambda p: CapletSpec(1.0, math.nan, 0.01), ValueError,
+                         "delta must be > 0 and finite, got nan"),
+    "caplet-delta-inf": (lambda p: CapletSpec(1.0, math.inf, 0.01), ValueError,
+                         "delta must be > 0 and finite, got inf"),
+    "cap-delta-nan": (lambda p: CapProduct(0.5, 3, math.nan, 0.01), ValueError,
+                      "delta must be > 0 and finite, got nan"),
+    "curve-dump-delta-inf": (lambda p: CurveDump((1.0,), math.inf), ValueError,
+                             "delta must be > 0 and finite, got inf"),
     "fra-R": (lambda p: FraSpec(1.0, 0.5, math.nan), ValueError, "R must be finite"),
     "fra-notional": (lambda p: FraSpec(1.0, 0.5, 0.01, math.inf), ValueError,
                      "notional must be finite"),

@@ -50,9 +50,10 @@ def test_validate_rejects_nonpositive(field, params):
 
 def test_validate_warns_on_caplet_condition():
     p = ModelParams(0.5, 0.5, 0.01, 0.01, 0.01, 0.5)
-    report = validate(p)
-    assert not report.caplet_condition
-    assert report.warnings
+    assert not p.caplet_condition
+    assert validate(p) == ("b3 < sigma3/sqrt(2): caplet finiteness is not guaranteed "
+                           "for all maturities",)
+    assert validate(ModelParams(0.5, 0.5, 0.5, 0.01, 0.01, 0.5)) == ()
 
 
 def test_caplet_condition_threshold():
