@@ -1,12 +1,14 @@
 """Monte Carlo validation engine.
 
-Factor paths use exact Ornstein-Uhlenbeck transitions, so the simulated
-factor law carries no discretization error; the only bias is the
-trapezoid approximation of time-integrals (bank account, discounting),
-which is monitored by re-evaluating every payoff on the half-resolution
-subgrid of the same paths.  Because the exact transitions nest (two fine
-steps compose to one coarse step), the fine/coarse difference isolates
-the quadrature bias with no Monte Carlo noise in the proxy.
+Factors move by exact Ornstein-Uhlenbeck transitions, so the simulated
+factor law carries no discretization error, and psi1's time integral is
+drawn exactly with it.  The only bias is the trapezoid approximation of the
+integrals of psi2^2 (and psi3^2 for the Libor spread) in the bank account
+and the discounting.  It is monitored by re-evaluating every payoff on the
+half-resolution subgrid of the same paths: because the exact transitions
+nest (two fine steps compose to one coarse step), the fine/coarse
+difference isolates the quadrature bias with no Monte Carlo noise in the
+proxy.
 
 Determinism: paths are generated in fixed-size blocks of 4096 (2048
 antithetic pairs), each block drawing from its own counter-derived
@@ -15,29 +17,34 @@ included, and their sums are reduced in block order, so the estimate is
 bit-identical for any W and any schedule.  W is the least of the CPUs this
 process may run on, the blocks, and the per-worker workspaces that fit in
 _BLOCK_BYTES.  A workspace is one factor's normals over the grid and one
-built path, allocated by the calling thread and taken by one worker thread
-for all its blocks.  Sizes are bounded: McConfig caps n_paths and
-steps_per_year, and a grid whose block of normals, 3 x 4096 x grid points,
-passes _BLOCK_BYTES is refused unbuilt, so one workspace always fits.
+built path (the exact steps' normals fit in the first), allocated by the
+calling thread and taken by one worker thread for all its blocks.  Sizes
+are bounded: McConfig caps n_paths and steps_per_year, and a grid whose
+block of normals, 3 x 4096 x grid points, passes _BLOCK_BYTES is refused
+unbuilt, so one workspace always fits.
 
 What is built: each estimator declares its reads (_Reads), the grid indices
 where its payoff reads the factors and those to which it reads the time
-integrals of psi1 and psi2^2 (and psi3^2 for the Libor bond's spread), on
-the fine grid and its coarse subgrid alike.  An exact OU path is affine in
-its normals, psi_i = mean_i + (deviation linear in z_i), so a factor read
-only at dates, and psi1's trapezoid integrals, are one matrix product of
-the block's normals (_linear_reads); no path of psi1 is built, nor of psi3
-but for the Libor bond.  psi2, whose square is integrated, is the one path
-built, in place, by _ou_deviation.  The antithetic mirror -z negates every
-deviation, so it costs no second pass.
+integrals of psi1 and psi2^2 (and psi3^2 for the Libor bond's spread).  Only
+psi2, whose square is integrated, needs the fine grid: its path is built, in
+place, by _ou_deviation, up to the last read only, and so is psi3's for the
+Libor bond.  psi1 enters only through its values and its integrals, and
+psi3 otherwise only at the fix dates, so both are stepped exactly from one
+read date to the next (_exact_steps): (psi1, its integral) as a joint
+Gaussian step of two normals (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, sec. 3.3), psi3 by one exact OU step.  Every read stays
+affine in the normals, psi_i = mean_i + (deviation linear in the normals),
+so the stepped factors are one matrix product of the block's normals
+(_exact_reads), and the antithetic mirror, which negates every deviation,
+costs no second pass.  The trapezoid integrals of psi2^2 (and psi3^2) are
+taken on the fine grid and on its coarse subgrid; psi1's integral is exact
+on both.
 
-Same normals: every estimator draws exactly the normals that a full build
-of all three paths over its grid would, one factor after another from the
-block's substream, and reads them the same way; the OIS bond, which reads
-no psi3, draws the first two factors' rows, the head of the same substream,
-and the forward-measure estimator draws the grid to T_star but builds only
-[0, T].  Estimates therefore change with the
-rounding of the products only, never with the draws.
+Same normals: a block draws from its substream in one fixed order: psi2's
+normals over the grid to the last read, psi3's over the same grid for the
+Libor bond, two per read interval for psi1, and one per fix interval for
+psi3 where it is read.  Estimates therefore change with the rounding of
+the products only, never with the draws.
 
 Payoffs: FRAs, caplets, floorlets and swaps share one payoff over their
 (fix, pay, accrual) Libor periods, the discounted cash flow
@@ -126,8 +133,8 @@ class McEstimate:
     bias_proxy: float
 
     def __post_init__(self):
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be >= 0")
+        if not self.std_error >= 0.0:  # NaN too
+            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
 
 
 def _make_grid(dates, steps_per_year: int) -> np.ndarray:
@@ -183,16 +190,68 @@ def _ou_deviation(z: np.ndarray, consts: np.ndarray, decay: np.ndarray, out: np.
     return out
 
 
-def _linear_reads(times: np.ndarray, params: ModelParams, i: int, cols: np.ndarray):
-    """Factor i (0-based) read through the weight columns cols, shape
-    (len(times), m): psi_i @ cols = const + z_i @ M for the factor's normals
-    z_i, with M[j] = s_j sum_{k > j} e^{-b t_k} cols[k] (s_j the scaled step
-    std of _step_constants).  Returns (const, M)."""
+def _relexpm1(x: np.ndarray) -> np.ndarray:
+    """(1 - e^{-x}) / x for x >= 0, 1 at x = 0."""
+    safe = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)
+
+
+# g(x) / x^3 = sum over j >= 2 of (-1)^j (2^j - 2) x^(j - 2) / (j + 1)!, for
+# g(x) = x - 3/2 + 2 e^{-x} - e^{-2x} / 2: the terms to j = 25 leave a
+# remainder below 1e-20 for x < 1, where g itself cancels like x^3
+_G_SERIES = np.array([(-1) ** j * (2 ** j - 2) / math.factorial(j + 1)
+                      for j in range(25, 1, -1)])
+
+
+def _exact_steps(h: np.ndarray, b: float, sigma: float):
+    """The exact step over h > 0 of an OU factor X (b, sigma) and of its
+    time integral I over the step:
+
+        X(t + h) = e^{-x} X(t) + a xi,   I = B X(t) + c xi + d eta,   x = b h,
+
+    for independent standard normals xi and eta.  B = (1 - e^{-x}) / b;
+    X(t + h) has variance a^2 = sigma^2 (1 - e^{-2x}) / (2b), I has sigma^2
+    h^3 g(x) / x^3 (g as in _G_SERIES) and their covariance is
+    sigma^2 B^2 / 2; c and d are its Cholesky factors.  Only b, sigma and
+    the steps enter.  Returns (e^{-x}, B, a, c, d), arrays like h."""
+    x = b * h
+    direct = x >= 1.0
+    xd = np.where(direct, x, 1.0)
+    g_x3 = np.where(direct, (xd - 1.5 + 2.0 * np.exp(-xd) - 0.5 * np.exp(-2.0 * xd)) / xd ** 3,
+                    np.polyval(_G_SERIES, np.where(direct, 0.0, x)))
+    B = h * _relexpm1(x)
+    a = np.sqrt(h * _relexpm1(2.0 * x))
+    c = 0.5 * B * B / a
+    d = np.sqrt(h ** 3 * g_x3 - c * c)
+    return np.exp(-x), B, sigma * a, sigma * c, sigma * d
+
+
+def _exact_reads(grid: np.ndarray, params: ModelParams, i: int, at: tuple, to: tuple):
+    """Factor i (0-based) at the grid indices `at` and, for psi1 (i = 0), its
+    time integrals from 0 to the indices `to`, stepped exactly from each
+    read date to the next: psi1 by the joint step of _exact_steps on two
+    normals (xi_k, eta_k) per step, psi3 by the OU step alone on one.  Each
+    read is const + w @ M for the steps' normals w, in step order.  Returns
+    (const, M), one entry and one column of M per read, `at` first."""
     b, sigma = params.b(i + 1), params.sigma(i + 1)
-    decay = np.exp(-b * times)
-    # tail[j] = sum over k > j of decay[k] * cols[k]
-    tail = np.cumsum((decay[:, None] * cols)[:0:-1], axis=0)[::-1]
-    return params.psi0[i] * decay @ cols, _step_constants(times, b, sigma)[:, None] * tail
+    dates = sorted((set(at) | set(to)) - {0})
+    decay, B, a, c, d = _exact_steps(np.diff(grid[[0] + dates]), b, sigma)
+    joint = i == 0
+    width = (1 + joint) * len(dates)
+    # (mean, deviation's weights on the normals) of the factor and of its
+    # integral at each read date
+    x, ix = (params.psi0[i], np.zeros(width)), (0.0, np.zeros(width))
+    value, integral = {0: x}, {0: ix}
+    for k, date in enumerate(dates):
+        if joint:
+            dev = ix[1] + B[k] * x[1]
+            dev[2 * k:2 * k + 2] += c[k], d[k]
+            ix = integral[date] = (ix[0] + B[k] * x[0], dev)
+        dev = decay[k] * x[1]
+        dev[(1 + joint) * k] += a[k]
+        x = value[date] = (decay[k] * x[0], dev)
+    rows = [value[k] for k in at] + [integral[k] for k in to]
+    return np.array([mean for mean, _ in rows]), np.array([dev for _, dev in rows]).T
 
 
 def _trapezoid_columns(times: np.ndarray, to) -> np.ndarray:
@@ -255,8 +314,8 @@ class _Reads:
 
     @property
     def factors(self) -> int:
-        """Rows of normals drawn: reading only the short rate's integrals
-        (the OIS bond) leaves psi3 out."""
+        """Factors read: reading only the short rate's integrals (the OIS
+        bond) leaves psi3 out, and draws none of its normals."""
         return 3 if self.at or self.spread else 2
 
 
@@ -279,24 +338,23 @@ def _run(
     end = max(reads.at + reads.to)
     grid = times[:end + 1]
     at, n_at, n_to = list(reads.at), len(reads.at), len(reads.to)
-    unit = np.zeros((grid.size, n_at))
-    unit[at, range(n_at)] = 1.0
     trap = _trapezoid_columns(grid, reads.to)
-    # psi1, and psi3 unless its square is integrated, enter linearly: one
-    # product each with the normals; psi2 (and psi3 with reads.spread) is
-    # built as a path
-    linear = {0: _linear_reads(grid, params, 0, np.hstack([unit, trap]))}
+    # psi1, and psi3 unless its square is integrated, are stepped exactly
+    # between the read dates: one product each with their normals; psi2 (and
+    # psi3 with reads.spread) is built as a path on the grid
+    exact = {0: _exact_reads(grid, params, 0, reads.at, reads.to)}
     if reads.at and not reads.spread:
-        linear[2] = _linear_reads(grid, params, 2, unit)
-    # every read is c + d on the paths of z and c - d on those of -z; the
-    # integrals of psi2^2 and psi3^2 add e, that of the squared deviation.
-    # c, the mean path's reads, is the same in every block
+        exact[2] = _exact_reads(grid, params, 2, reads.at, ())
+    # every read is c + d on the paths of the normals and c - d on those of
+    # their mirror; the integrals of psi2^2 and psi3^2 add e, that of the
+    # squared deviation.  c, the mean path's reads, is the same in every block
     paths = {}  # factor -> (its row of the integrals, step constants, decay, cross weights)
     val_c = np.empty((reads.factors, 1, n_at))
     int_c = np.empty((2 + reads.spread, 1, 2 * n_to))
-    for i, (const, _) in linear.items():
+    for i, (const, _) in exact.items():
         val_c[i, 0] = const[:n_at]
-    int_c[0, 0] = linear[0][0][n_at:]
+    # psi1's integral is exact: the same on the fine grid and the coarse one
+    int_c[0, 0, :n_to] = int_c[0, 0, n_to:] = exact[0][0][n_at:]
     for row, i in enumerate((1, 2) if reads.spread else (1,), start=1):
         b = params.b(i + 1)
         decay = np.exp(-b * grid)
@@ -306,16 +364,17 @@ def _run(
         paths[i] = (row, _step_constants(grid, b, params.sigma(i + 1)), decay,
                     mean[:, None] * trap)
 
-    # a worker's workspace: the normals of one factor over the whole grid,
-    # which the square of a built path reuses once they are spent, and that
-    # path
-    steps, sizes = times.size - 1, _block_sizes(config)
-    largest = max(sizes)
-    workers = _worker_count(len(sizes), 8 * largest * (steps + end + 2))
+    # a worker's workspace: normals, for one path over the grid or for the
+    # exact steps (two per read date at most, and read dates are two fine
+    # steps apart or more), which the square of a built path reuses once
+    # they are spent, and that path
+    sizes = _block_sizes(config)
+    largest, width = max(sizes), max(end + 1, *(m.shape[0] for _, m in exact.values()))
+    workers = _worker_count(len(sizes), 8 * largest * (width + end + 1))
     # allocated here, on the calling thread: blocks that allocated their own
     # grew the process through glibc's per-thread malloc arenas; each worker
     # thread takes one as it starts
-    workspaces = [(np.empty(largest * (steps + 1)), np.empty(largest * (end + 1)))
+    workspaces = [(np.empty(largest * width), np.empty(largest * (end + 1)))
                   for _ in range(workers)]
     local = threading.local()
 
@@ -327,27 +386,25 @@ def _run(
         block `index`, n paths or antithetic pairs."""
         normals, path = local.workspace
         rng = _substream(config.seed, index)
-        # the draws run over the whole grid, factor by factor, as one
-        # (factors, n, steps) draw would; only [0, end] is read
-        z = normals[:n * steps].reshape(n, steps)
-        dev = path[:n * (end + 1)].reshape(n, end + 1)
         val_d = np.empty((reads.factors, n, n_at))
         int_d = np.empty((len(int_c), n, 2 * n_to))
         int_e = np.zeros_like(int_d)
-        for i in range(reads.factors):
-            rng.standard_normal(out=z)
-            if i in linear:
-                d = _matmul(z[:, :end], linear[i][1])
-                val_d[i] = d[:, :n_at]
-                if i == 0:
-                    int_d[0] = d[:, n_at:]
-                continue
-            row, consts, decay, cross = paths[i]
-            _ou_deviation(z[:, :end], consts, decay, dev)
+        # the draws, in their fixed order: the paths' normals over [0, end],
+        # psi2's then psi3's, then the exact steps', psi1's then psi3's
+        dev = path[:n * (end + 1)].reshape(n, end + 1)
+        for i, (row, consts, decay, cross) in paths.items():
+            z = rng.standard_normal(out=normals[:n * end].reshape(n, end))
+            _ou_deviation(z, consts, decay, dev)
             val_d[i] = dev[:, at]
             int_d[row] = 2.0 * _matmul(dev, cross)
             square = np.multiply(dev, dev, out=normals[:dev.size].reshape(dev.shape))
             int_e[row] = _matmul(square, trap)
+        for i, (_, weights) in exact.items():
+            z = rng.standard_normal(out=normals[:n * weights.shape[0]].reshape(n, -1))
+            d = _matmul(z, weights)
+            val_d[i] = d[:, :n_at]
+            if i == 0:
+                int_d[0, :, :n_to] = int_d[0, :, n_to:] = d[:, n_at:]
         halves = [(val_c + val_d, int_c + int_d + int_e)]
         if config.antithetic:
             halves.append((val_c - val_d, int_c - int_d + int_e))
@@ -358,9 +415,13 @@ def _run(
                 vals_c = sum(payoff(psi, ints[:, :, n_to:]) for psi, ints in halves)
                 if config.antithetic:
                     vals, vals_c = 0.5 * vals, 0.5 * vals_c
-                return float(np.sum(vals)), float(np.sum(vals * vals)), float(np.sum(vals_c))
+                sums = float(np.sum(vals)), float(np.sum(vals * vals)), float(np.sum(vals_c))
         except FloatingPointError as exc:
             raise TwoCurveError(f"a simulated payoff passes the float range ({exc})") from exc
+        # a NaN payoff would pass the bias gate below with a NaN estimate
+        if not all(map(math.isfinite, sums)):
+            raise TwoCurveError(f"a simulated payoff is not finite: block sums {sums}")
+        return sums
 
     with ThreadPoolExecutor(workers, initializer=take_workspace) as pool:
         # each block in a copy of the caller's context, which holds numpy's
@@ -429,10 +490,9 @@ def mc_forward_expectation(
     p0 = ois_bond(FactorState(0.0, params.psi0), T_star, params).value
     cb = coeffs.bundle(T, T_star, params)
 
-    # the normals span the grid to T_star, as they always have, so that the
-    # draws stay the same; only [0, T] is built
-    times = _make_grid([T, T_star], config.steps_per_year)
-    at_T = (int(np.searchsorted(times, T)),)
+    # the factors are read at T only, so the grid ends there
+    times = _make_grid([T], config.steps_per_year)
+    at_T = (times.size - 1,)
 
     def discounted(psi, ints):
         psi_t = psi[:, :, 0]

@@ -18,14 +18,17 @@ closed-form z-tail and converges like n^-5: about 2e-10 relative at its
 default 96 nodes, inside the 1e-7 its tests ask.
 
 The psi1 closed forms (the integral of B1^2, the forward drift and the FRA
-residual) and the simulator's exact OU step constants have decimal
-references: each is evaluated in the textbook form that cancels as b -> 0,
-at a precision that grows with the digits the cancellation costs.
+residual), the simulator's scaled OU step constants and its exact joint
+steps of a factor and its integral have decimal references: each is
+evaluated in the textbook form that cancels as b -> 0, at a precision that
+grows with the digits the cancellation costs.
 
-Two helpers read the library instead of re-deriving it: simulate_paths
-builds the whole factor-path ensemble from the simulator's own blocks of
-normals and path builder, so that tests can check the estimators' reads
-against full paths, and swaption_case classifies a swaption by the signs
+Three helpers read the library instead of re-deriving it: simulate_paths
+builds a whole three-factor path ensemble with the simulator's substreams
+and path builder, for the transition-law tests; simulate_reads draws what
+the estimators draw, in their order, and steps psi1 and psi3 one read
+interval at a time in a plain loop, so that tests can check the
+estimators' reads; and swaption_case classifies a swaption by the signs
 of its spread exponents rho3 (_swaption_period_rho3).
 """
 
@@ -439,18 +442,39 @@ def step_constants_decimal(times, b: float, sigma: float) -> list:
     return out
 
 
+def exact_step_decimal(h: float, b: float, sigma: float) -> tuple:
+    """The exact step over h of an OU factor (b, sigma) and its integral,
+    (e^{-bh}, B, a, c, d) as in the simulator's _exact_steps, from the
+    textbook forms: B = (1 - e^{-bh}) / b, the variances sigma^2 (1 -
+    e^{-2bh}) / (2b) of the factor and sigma^2 h^3 (x - 3/2 + 2 e^{-x} -
+    e^{-2x} / 2) / x^3 (x = bh) of the integral, their covariance
+    sigma^2 B^2 / 2, and its Cholesky factors a, c and d."""
+    with localcontext() as ctx:
+        ctx.prec = _decimal_digits(b * h)
+        bd, hd, s = Decimal(b), Decimal(h), Decimal(sigma)
+        x = bd * hd
+        e1, e2 = (-x).exp(), (-2 * x).exp()
+        B = (1 - e1) / bd
+        a = ((1 - e2) / (2 * bd)).sqrt()
+        c = B * B / 2 / a
+        d = (hd ** 3 * (x - Decimal(1.5) + 2 * e1 - e2 / 2) / x ** 3 - c * c).sqrt()
+        return tuple(float(v) for v in (e1, B, s * a, s * c, s * d))
+
+
 def _blocks(config, n_steps: int, factors: int):
-    """The standard normals of every block, in block order, each block from
-    its own substream of config.seed: shape (factors, n, n_steps) with n
-    paths, or n antithetic pairs.  The estimators draw the same numbers
-    factor by factor."""
+    """Standard normals for every block, in block order, each block from its
+    own substream of config.seed: shape (factors, n, n_steps) with n paths,
+    or n antithetic pairs."""
     for block, n in enumerate(_block_sizes(config)):
         yield _substream(config.seed, block).standard_normal((factors, n, n_steps))
 
 
 def simulate_paths(params, horizon: float, config):
-    """Materialize the full factor-path ensemble up to the horizon, from the
-    blocks the estimators draw, each followed by its antithetic mirror.
+    """Materialize a full factor-path ensemble up to the horizon, with the
+    simulator's blocks, substreams and path builder, each block followed by
+    its antithetic mirror: all three factors on the whole grid, for the
+    transition-law tests.  The estimators draw less, in their own order
+    (simulate_reads).
 
     Returns (times, psi) with psi of shape (3, n_paths, len(times)).  Memory
     scales with n_paths * steps; the library's estimators stream in blocks
@@ -470,3 +494,60 @@ def simulate_paths(params, horizon: float, config):
         if config.antithetic:
             chunks.append(mean - dev)
     return times, np.concatenate(chunks, axis=1)
+
+
+def simulate_reads(params, times, config, at: tuple, to: tuple, spread: bool = False):
+    """What the estimators read off their blocks, drawn from each block's
+    substream in the estimators' order, each block followed by its
+    antithetic mirror:
+
+    - psi2's path over times[:end + 1], end the last read (and psi3's with
+      spread), built with the simulator's path builder as simulate_paths
+      builds it;
+    - psi1 and its integral, stepped one read interval at a time by the
+      decimal exact step (exact_step_decimal), on two normals per interval;
+    - psi3, unless spread, stepped the same way from one date in `at` to
+      the next, on one normal per interval.
+
+    Returns (psi, int1, paths): the factors at `at`, shape (3, n_paths,
+    len(at)), or (2, ...) when nothing reads psi3; psi1's integrals to `to`,
+    shape (n_paths, len(to)); the built paths, shape (1 or 2, n_paths,
+    end + 1)."""
+    end = max(at + to)
+    grid = times[:end + 1]
+    dates = sorted((set(at) | set(to)) - {0})
+    fixes = sorted(set(at) - {0}) if at and not spread else []
+    step1 = [exact_step_decimal(h, params.b1, params.sigma1) for h in np.diff(grid[[0] + dates])]
+    step3 = [exact_step_decimal(h, params.b3, params.sigma3) for h in np.diff(grid[[0] + fixes])]
+    built = (1, 2) if spread else (1,)
+    out = []
+    for block, n in enumerate(_block_sizes(config)):
+        rng = _substream(config.seed, block)
+        means, devs = {}, {}
+        for i in built:
+            b = params.b(i + 1)
+            decay = np.exp(-b * grid)
+            means[i], devs[i] = params.psi0[i] * decay, np.empty((n, end + 1))
+            _ou_deviation(rng.standard_normal((n, end)),
+                          _step_constants(grid, b, params.sigma(i + 1)), decay, devs[i])
+        w1 = rng.standard_normal((n, len(dates), 2))
+        w3 = rng.standard_normal((n, len(fixes)))
+        for sign in (1.0, -1.0) if config.antithetic else (1.0,):
+            x, ix = np.full(n, params.psi0[0]), np.zeros(n)
+            value, integral = {0: x}, {0: ix}
+            for k, (date, (decay, B, a, c, d)) in enumerate(zip(dates, step1)):
+                xi, eta = sign * w1[:, k, 0], sign * w1[:, k, 1]
+                ix = integral[date] = ix + B * x + c * xi + d * eta
+                x = value[date] = decay * x + a * xi
+            x3, value3 = np.full(n, params.psi0[2]), {0: np.full(n, params.psi0[2])}
+            for k, (date, (decay, _, a, _, _)) in enumerate(zip(fixes, step3)):
+                x3 = value3[date] = decay * x3 + a * sign * w3[:, k]
+            paths = np.array([means[i] + sign * devs[i] for i in built])
+            psi = [[value[k] for k in at], [paths[0][:, k] for k in at]]
+            if at or spread:
+                psi.append([paths[1][:, k] for k in at] if spread else [value3[k] for k in at])
+            psi = np.transpose(np.array(psi).reshape(len(psi), len(at), n), (0, 2, 1))
+            int1 = np.array([integral[k] for k in to]).reshape(len(to), n).T
+            out.append((psi, int1, paths))
+    return tuple(np.concatenate(part, axis=1 if k != 1 else 0)
+                 for k, part in enumerate(zip(*out)))

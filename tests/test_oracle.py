@@ -31,8 +31,9 @@ from twocurve import (
     swap_price,
     swaption_price,
 )
-from twocurve.oracle import _Reads, _make_grid, _run, _step_constants
-from oracles import simulate_paths, step_constants_decimal
+from twocurve.oracle import McEstimate, _exact_steps, _Reads, _make_grid, _run, _step_constants
+from oracles import (b1_sq_integral_decimal, exact_step_decimal, simulate_paths, simulate_reads,
+                     step_constants_decimal)
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -153,6 +154,52 @@ def test_step_constants_match_a_decimal_reference(b):
         assert np.all(np.abs(got / ref - 1.0) <= 5e-16 * (1.0 + b * times[1:]))
 
 
+@pytest.mark.parametrize("b", [1e-300, 1e-100, 1e-30, 1e-8, 1e-3, 0.05, 1.0, 30.0, 1e3])
+def test_exact_step_constants_match_a_decimal_reference(b):
+    # steps of 1e-6 to 25: e^{-bh} inherits the rounding of b h, and d^2,
+    # the integral's variance less the part the factor step explains,
+    # cancels by up to a factor of four
+    h = np.geomspace(1e-6, 25.0, 9)
+    got = np.array(_exact_steps(h, b, 0.013))
+    ref = np.array([exact_step_decimal(dt, b, 0.013) for dt in h]).T
+    bounds = 5e-16 * np.array([1.0 + b * h, np.ones_like(h), np.ones_like(h),
+                               np.full_like(h, 2.0), np.full_like(h, 8.0)])
+    assert np.all(np.abs(got - ref) <= bounds * ref)
+
+
+def test_exact_steps_match_their_moments(params):
+    # 200,000 paths with reads at 0.75 and 1.5, so that each factor takes
+    # two exact steps to T = 1.5: psi1(T), its integral and psi3(T) against
+    # their closed-form laws, at 3 standard errors each
+    T, cfg = 1.5, McConfig(n_paths=200_000, steps_per_year=4, seed=31, antithetic=False)
+    times = _make_grid([0.75, T], cfg.steps_per_year)
+    ends = (int(np.searchsorted(times, 0.75)), times.size - 1)
+    seen = {}
+
+    def collect(psi, ints):
+        seen[id(psi)] = (psi[0, :, 1], ints[0, :, 1], psi[2, :, 1])
+        return psi[0, :, 0]
+
+    _run(params, times, cfg, collect, _Reads(at=ends, to=ends))
+    x1, i1, x3 = (np.concatenate(v) for v in zip(*seen.values()))
+    assert x1.size == cfg.n_paths
+    n = x1.size
+
+    def law(b, sigma, psi0):
+        return psi0 * math.exp(-b * T), sigma ** 2 * -math.expm1(-2.0 * b * T) / (2.0 * b)
+
+    B = -math.expm1(-params.b1 * T) / params.b1
+    var_i1 = params.sigma1 ** 2 * b1_sq_integral_decimal(T, params.b1)
+    for x, (mean, var) in [(x1, law(params.b1, params.sigma1, params.psi0[0])),
+                           (i1, (params.psi0[0] * B, var_i1)),
+                           (x3, law(params.b3, params.sigma3, params.psi0[2]))]:
+        assert abs(x.mean() - mean) < 3.0 * math.sqrt(var / n)
+        assert abs(x.var(ddof=1) - var) < 3.0 * var * math.sqrt(2.0 / (n - 1))
+    var_x1, cov = law(params.b1, params.sigma1, 0.0)[1], 0.5 * (params.sigma1 * B) ** 2
+    got_cov = np.cov(x1, i1)[0, 1]
+    assert abs(got_cov - cov) < 3.0 * math.sqrt((var_x1 * var_i1 + cov ** 2) / n)
+
+
 def test_antithetic_reduces_variance(params):
     base = McConfig(n_paths=40_000, steps_per_year=32, seed=5, antithetic=False)
     anti = McConfig(n_paths=40_000, steps_per_year=32, seed=5, antithetic=True)
@@ -222,14 +269,26 @@ def test_unknown_bond_curve_refused(params):
 
 
 def test_step_scaling_past_the_float_range_refused(params):
-    # the exact steps are scaled by e^{b t}: b1 T = 1000 would overflow it
-    # and leave NaN estimates
-    p = ModelParams(1000.0, params.b2, params.b3, params.sigma1, params.sigma2,
+    # the built paths' steps are scaled by e^{b t}: b2 T = 1000 would
+    # overflow it and leave NaN estimates
+    p = ModelParams(params.b1, 1000.0, params.b3, params.sigma1, params.sigma2,
                     params.sigma3, kappa=params.kappa, psi0=params.psi0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TwoCurveError, match="overflows"):
             mc_bond(p, 1.0, "OIS", McConfig(n_paths=1000, steps_per_year=8))
+
+
+def test_exact_steps_need_no_scaling(params, state):
+    # psi1 is stepped exactly between read dates, with no e^{b t} scaling:
+    # b1 T = 1000 gives a finite OIS bond estimate
+    p = ModelParams(1000.0, params.b2, params.b3, params.sigma1, params.sigma2,
+                    params.sigma3, kappa=params.kappa, psi0=params.psi0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_bond(p, 1.0, "OIS", McConfig(n_paths=4096, steps_per_year=32, seed=1))
+    assert math.isfinite(est.mean)
+    assert abs(est.mean - ois_bond(state, 1.0, p).value) < 3.0 * est.std_error
 
 
 def test_payoff_past_the_float_range_refused(params):
@@ -241,6 +300,21 @@ def test_payoff_past_the_float_range_refused(params):
         warnings.simplefilter("error")
         with pytest.raises(TwoCurveError, match="passes the float range"):
             mc_price(p, SwapSpec(0.5, 2, 0.25, 0.01), McConfig(n_paths=1000, steps_per_year=8))
+
+
+def test_a_nan_payoff_is_refused(params):
+    # log(psi1 - 1) is NaN on every path: max(0, NaN) = 0 and NaN >= 3 se is
+    # False, so the estimate would pass the bias gate as NaN
+    with np.errstate(invalid="ignore"), pytest.raises(TwoCurveError, match="not finite"):
+        mc_forward_expectation(params, 1.0, 1.5, lambda psi: np.log(psi[0] - 1.0),
+                               McConfig(2000, 16, 1))
+
+
+def test_estimate_refuses_a_nan_std_error():
+    with pytest.raises(ValueError, match="std_error"):
+        McEstimate(mean=1.0, std_error=math.nan, n_paths=1000, bias_proxy=0.0)
+    with pytest.raises(ValueError, match="std_error"):
+        McEstimate(mean=1.0, std_error=-1e-3, n_paths=1000, bias_proxy=0.0)
 
 
 def test_libor_payoffs_agree_path_by_path(params):
@@ -259,33 +333,36 @@ def test_libor_payoffs_agree_path_by_path(params):
 @pytest.mark.parametrize("spread", [False, True])
 def test_reads_match_the_simulated_paths(params, spread):
     # the reads of one block, by matrix product or off the psi2 (and psi3)
-    # path, against the same quantities taken off simulate_paths' paths
+    # path, against the same quantities from simulate_reads' interval by
+    # interval loop and its paths
     cfg = McConfig(n_paths=1000, steps_per_year=16, seed=4, antithetic=False)
-    times, psi = simulate_paths(params, 2.0, cfg)
+    times = _make_grid([2.0], cfg.steps_per_year)
     at, to = (8, 20), (12, times.size - 1)
+    psi, int1, paths = simulate_reads(params, times, cfg, at, to, spread)
     seen = []
     _run(params, times, cfg, lambda p, ints: seen.append((p, ints)) or p[0, :, 0],
          _Reads(at=at, to=to, spread=spread))
     (p_fine, fine), (p_coarse, coarse) = seen
-    np.testing.assert_allclose(p_fine, psi[:, :, list(at)], rtol=1e-12, atol=1e-16)
+    np.testing.assert_allclose(p_fine, psi, rtol=1e-12, atol=1e-16)
     np.testing.assert_array_equal(p_fine, p_coarse)
-    rate_terms = [psi[0], psi[1] ** 2] + ([psi[2] ** 2] if spread else [])
     for ints, step in ((fine, 1), (coarse, 2)):
-        want = [[trapezoid(f[:, :k + 1:step], times[:k + 1:step], axis=1) for k in to]
-                for f in rate_terms]
+        # psi1's integral is exact on both grids, the squares' are trapezoids
+        want = [int1.T] + [[trapezoid(f[:, :k + 1:step] ** 2, times[:k + 1:step], axis=1)
+                            for k in to] for f in paths]
         np.testing.assert_allclose(ints, np.transpose(want, (0, 2, 1)), rtol=1e-12, atol=1e-16)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimates_reduce_the_simulated_paths_block_by_block(params, antithetic):
-    # the estimators and simulate_paths draw the same blocks: 5000 paths are
+    # the estimators and simulate_reads draw the same blocks: 5000 paths are
     # blocks of 4096 + 904 paths, or 2048 + 452 antithetic pairs, each pair
     # block followed by its mirror in the ensemble; psi2, which both build
     # with the one path builder, is read at the horizon
     cfg = McConfig(n_paths=5000, steps_per_year=16, seed=21, antithetic=antithetic)
-    times, psi = simulate_paths(params, 1.0, cfg)
+    times = _make_grid([1.0], cfg.steps_per_year)
+    psi, _, _ = simulate_reads(params, times, cfg, (times.size - 1,), ())
     est = _run(params, times, cfg, lambda p, ints: p[1, :, 0], _Reads(at=(times.size - 1,)))
-    x = psi[1, :, -1]
+    x = psi[1, :, 0]
     s1, start = 0.0, 0
     for n in ([2048, 452] if antithetic else [4096, 904]):
         if antithetic:
@@ -301,26 +378,27 @@ def test_estimates_reduce_the_simulated_paths_block_by_block(params, antithetic)
 
 
 # (mean, std_error, bias_proxy, n_paths) of each estimator at 4096 paths,
-# 32 steps a year and seed 2026: the path builder may change rounding, never
-# the draws or what is estimated
+# 32 steps a year and seed 2026, on the stream of exact steps between read
+# dates: the path builder may change rounding, never the draws or what is
+# estimated
 _PIN_CFG = dict(n_paths=4096, steps_per_year=32, seed=2026)
 _PINS = {
-    ("ois_bond", False): (0.9841575748064016, 0.00017731175766814823, 5.538381886438515e-08, 4096),
-    ("libor_bond", False): (0.9777894055424915, 0.00022836311112445595, 5.6869284947858034e-08, 4096),
-    ("fra", False): (-0.00031839324216778435, 7.154693388318942e-05, 1.026272326669353e-09, 4096),
-    ("swap", False): (0.0008084687214502003, 0.00012576411039389392, 5.834858116744897e-09, 4096),
-    ("caplet", False): (0.0012377916637028798, 3.457262844976502e-05, 4.862987332699548e-10, 4096),
-    ("floorlet", False): (0.002543013578804672, 4.9021379723908726e-05, 8.637258482220578e-10, 4096),
-    ("swaption", False): (0.003086915986438633, 6.305401368354206e-05, 3.8151281786524827e-10, 4096),
-    ("forward", False): (1.0047274472069048, 6.35956311888173e-05, 3.291425885176835e-07, 4096),
-    ("ois_bond", True): (0.9841092387059731, 1.2744169140197535e-05, 3.131788038901462e-07, 4096),
-    ("libor_bond", True): (0.9777015154912183, 1.4713694623208758e-05, 4.4714902991405125e-07, 4096),
-    ("fra", True): (-0.00020937254620291326, 4.5384145096188055e-06, 6.0924372527709596e-09, 4096),
-    ("swap", True): (0.0009201725142122287, 7.158166985652157e-06, 6.032077561621621e-09, 4096),
-    ("caplet", True): (0.0012822176557313872, 2.879920246192563e-05, 3.761374304253953e-09, 4096),
-    ("floorlet", True): (0.0024783530986382096, 2.9502370382226902e-05, 1.943235666997112e-09, 4096),
-    ("swaption", True): (0.003104479671729999, 4.1885781829364354e-05, 9.086157266684214e-09, 4096),
-    ("forward", True): (1.004790833296467, 4.48320015599843e-06, 2.923051658498821e-07, 4096),
+    ("ois_bond", False): (0.9843651972830175, 0.00017862892151124704, 1.1405110089679482e-07, 4096),
+    ("libor_bond", False): (0.9781047183658829, 0.00023503294576599016, 1.2708299212960128e-07, 4096),
+    ("fra", False): (-0.00018980638139227209, 7.163519348712257e-05, 1.899736826779363e-09, 4096),
+    ("swap", False): (0.0010377238281100748, 0.0001259116244341244, 7.103392405533038e-10, 4096),
+    ("caplet", False): (0.001293639844296259, 3.554855345493257e-05, 1.449045059073381e-09, 4096),
+    ("floorlet", False): (0.0024701477924926286, 4.820873292055165e-05, 1.2524295489590997e-10, 4096),
+    ("swaption", False): (0.003155740424091655, 6.416093773949463e-05, 3.9608415115452433e-10, 4096),
+    ("forward", False): (1.0047964542511147, 6.517138039195454e-05, 2.7676761948924877e-07, 4096),
+    ("ois_bond", True): (0.9840864810379295, 1.2681145302792633e-05, 1.5674069320237294e-07, 4096),
+    ("libor_bond", True): (0.9776944455209412, 1.4256033934919049e-05, 2.6961843146988684e-07, 4096),
+    ("fra", True): (-0.00020496252888180344, 4.531119201148897e-06, 1.6392452304142113e-09, 4096),
+    ("swap", True): (0.0009264790145055344, 7.0050027444920665e-06, 3.417512459006136e-09, 4096),
+    ("caplet", True): (0.0013023383920282002, 2.8420914511913275e-05, 1.1841761919997862e-09, 4096),
+    ("floorlet", True): (0.00249405938135596, 2.9146427445596356e-05, 2.712187601242033e-10, 4096),
+    ("swaption", True): (0.0031093874719821364, 4.256096762783227e-05, 1.4377473578006117e-09, 4096),
+    ("forward", True): (1.0047866127446974, 4.659831180108278e-06, 1.2767220081144615e-07, 4096),
 }
 
 
